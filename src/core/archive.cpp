@@ -1,16 +1,11 @@
 #include "core/archive.hpp"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 #include <utility>
 
 #include "core/codec.hpp"
 #include "core/query.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace mantra::core {
 
@@ -20,34 +15,15 @@ using codec::Cursor;
 using codec::put_f64;
 using codec::put_string;
 using codec::put_svarint;
-using codec::put_u32;
 using codec::put_varint;
 
-constexpr std::uint32_t kMagic = 0x4352414Du;  // "MARC" little-endian
-// Version 2 added ArchiveCycleMeta::cycle_seq (a varint after the stale
-// byte). Old readers reject v2 files cleanly via the header check.
-constexpr std::uint16_t kVersion = 2;
-constexpr std::size_t kHeaderBytes = 8;
-constexpr std::size_t kFrameBytes = 8;  // length:u32 + crc:u32
-/// Corruption guard: a garbage length field must not trigger a huge read.
-constexpr std::uint32_t kMaxRecordBytes = 256u * 1024 * 1024;
+// "MARC" little-endian. Version 2 added ArchiveCycleMeta::cycle_seq (a
+// varint after the stale byte); old readers reject v2 files cleanly via the
+// header check.
+constexpr FramedLogFormat kFormat{0x4352414Du, 2, ".marc"};
 
 constexpr std::uint8_t kKindKeyframe = 1;
 constexpr std::uint8_t kKindDelta = 2;
-
-// --- CRC-32 ----------------------------------------------------------------
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
-    }
-    table[i] = c;
-  }
-  return table;
-}
 
 // --- Row codecs ------------------------------------------------------------
 // Rows are visited in key order, so keys delta-encode against the previous
@@ -259,48 +235,29 @@ RecordHeader decode_record_header(Cursor& in) {
   return header;
 }
 
-}  // namespace
-
-std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = seed ^ 0xFFFFFFFFu;
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+/// Validates before the writer's file is created, so bad options never
+/// truncate an existing archive.
+ArchiveOptions checked(ArchiveOptions options) {
+  if (options.keyframe_interval < 1) {
+    throw std::invalid_argument("ArchiveOptions.keyframe_interval must be >= 1");
   }
-  return crc ^ 0xFFFFFFFFu;
+  return options;
 }
+
+}  // namespace
 
 // --- ArchiveWriter ---------------------------------------------------------
 
 ArchiveWriter::ArchiveWriter(std::string path, ArchiveOptions options)
-    : path_(std::move(path)), options_(options) {
-  if (options_.keyframe_interval < 1) {
-    throw std::invalid_argument("ArchiveOptions.keyframe_interval must be >= 1");
-  }
-  file_ = std::fopen(path_.c_str(), "wb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("ArchiveWriter: cannot open " + path_);
-  }
-  std::string header;
-  put_u32(header, kMagic);
-  header.push_back(static_cast<char>(kVersion & 0xFF));
-  header.push_back(static_cast<char>(kVersion >> 8));
-  header.push_back(0);  // flags
-  header.push_back(0);
-  std::fwrite(header.data(), 1, header.size(), file_);
-  bytes_written_ = header.size();
-}
+    : options_(checked(options)), log_(std::move(path), kFormat) {}
 
 ArchiveWriter::~ArchiveWriter() { close(); }
 
 void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& meta) {
-  if (file_ == nullptr) {
-    throw std::runtime_error("ArchiveWriter: append to closed archive " + path_);
-  }
+  const std::size_t cycle = log_.frames_written();
   const bool keyframe =
       !options_.store_deltas || !have_previous_ ||
-      cycles_written_ % static_cast<std::size_t>(options_.keyframe_interval) == 0;
+      cycle % static_cast<std::size_t>(options_.keyframe_interval) == 0;
 
   std::string payload;
   payload.push_back(static_cast<char>(keyframe ? kKindKeyframe : kKindDelta));
@@ -326,16 +283,7 @@ void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& met
         encode_prefix_key);
   }
 
-  std::string frame;
-  frame.reserve(kFrameBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload.data(), payload.size()));
-  frame.append(payload);
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    throw std::runtime_error("ArchiveWriter: short write to " + path_);
-  }
-  bytes_written_ += frame.size();
-  ++cycles_written_;
+  const std::uint64_t frame_bytes = log_.append(payload);
 
   previous_.pairs = snapshot.pairs;
   previous_.routes = snapshot.routes;
@@ -352,12 +300,12 @@ void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& met
         .inc();
     metrics
         .counter("mantra_archive_bytes_total", {{"target", telemetry_label_}})
-        .inc(frame.size());
+        .inc(frame_bytes);
     if (keyframe) {
       std::vector<std::pair<std::string, std::string>> fields = {
           {"target", telemetry_label_},
-          {"cycle", std::to_string(cycles_written_ - 1)},
-          {"bytes", std::to_string(frame.size())}};
+          {"cycle", std::to_string(cycle)},
+          {"bytes", std::to_string(frame_bytes)}};
       if (stage_ != nullptr) {
         stage_->log(EventLevel::info, "archive_keyframe", snapshot.captured,
                     std::move(fields));
@@ -372,14 +320,11 @@ void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& met
 }
 
 void ArchiveWriter::sync() {
-  if (file_ == nullptr) return;
+  if (!log_.is_open()) return;
   const bool telemetry_on = telemetry_->enabled();
   const std::int64_t start_us =
       telemetry_on ? telemetry_->tracer().wall_now_us() : 0;
-  std::fflush(file_);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(fileno(file_));
-#endif
+  log_.sync();
   if (telemetry_on) {
     MetricsRegistry& metrics = telemetry_->metrics();
     metrics.counter("mantra_archive_fsync_total", {{"target", telemetry_label_}})
@@ -396,10 +341,9 @@ void ArchiveWriter::sync() {
 }
 
 void ArchiveWriter::close() {
-  if (file_ == nullptr) return;
+  if (!log_.is_open()) return;
   sync();
-  std::fclose(file_);
-  file_ = nullptr;
+  log_.close();
 }
 
 void ArchiveWriter::set_telemetry(Telemetry* telemetry, std::string label) {
@@ -410,102 +354,27 @@ void ArchiveWriter::set_telemetry(Telemetry* telemetry, std::string label) {
 // --- ArchiveReader ---------------------------------------------------------
 
 ArchiveReader::ArchiveReader(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    throw std::runtime_error("ArchiveReader: cannot open " + path);
-  }
-  std::fseek(file, 0, SEEK_END);
-  const long file_size = std::ftell(file);
-  std::fseek(file, 0, SEEK_SET);
-  buffer_.resize(file_size > 0 ? static_cast<std::size_t>(file_size) : 0);
-  if (!buffer_.empty() &&
-      std::fread(buffer_.data(), 1, buffer_.size(), file) != buffer_.size()) {
-    std::fclose(file);
-    throw std::runtime_error("ArchiveReader: cannot read " + path);
-  }
-  std::fclose(file);
-
-  if (buffer_.size() < kHeaderBytes) {
-    // A crash before the header completed: nothing recoverable, but not a
-    // reason to refuse the file — it simply holds zero cycles.
-    recovery_.clean = buffer_.empty();
-    recovery_.bytes_dropped = buffer_.size();
-    if (!buffer_.empty()) recovery_.reason = "truncated file header";
-    return;
-  }
-  Cursor header{buffer_.data(), buffer_.size()};
-  if (header.u32() != kMagic) {
-    throw std::runtime_error("ArchiveReader: bad magic in " + path);
-  }
-  const std::uint16_t version =
-      static_cast<std::uint16_t>(header.u8()) |
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(header.u8()) << 8);
-  if (version != kVersion) {
-    throw std::runtime_error("ArchiveReader: unsupported archive version in " + path);
-  }
-
-  std::size_t pos = kHeaderBytes;
-  const auto drop_tail = [&](const char* reason) {
-    recovery_.clean = false;
-    recovery_.bytes_dropped = buffer_.size() - pos;
-    recovery_.reason = reason;
-  };
-  while (pos < buffer_.size()) {
-    if (pos + kFrameBytes > buffer_.size()) {
-      drop_tail("short frame header");
-      break;
-    }
-    Cursor frame{buffer_.data() + pos, kFrameBytes};
-    const std::uint32_t length = frame.u32();
-    const std::uint32_t expected_crc = frame.u32();
-    if (length > kMaxRecordBytes) {
-      drop_tail("implausible record length");
-      break;
-    }
-    if (pos + kFrameBytes + length > buffer_.size()) {
-      drop_tail("short record payload");
-      break;
-    }
-    const char* payload = buffer_.data() + pos + kFrameBytes;
-    if (crc32(payload, length) != expected_crc) {
-      drop_tail("crc mismatch");
-      break;
-    }
-    try {
-      Cursor cursor{payload, length};
-      const RecordHeader record = decode_record_header(cursor);
-      IndexEntry entry;
-      entry.payload_offset = pos + kFrameBytes;
-      entry.payload_size = length;
-      entry.t_ms = record.t_ms;
-      entry.keyframe = record.kind == kKindKeyframe;
-      // Back-pointer to the governing key-frame, so random access is O(1)
-      // instead of walking the delta run backwards.
-      entry.last_keyframe =
-          entry.keyframe
-              ? static_cast<std::uint32_t>(index_.size())
-              : (index_.empty() ? 0 : index_.back().last_keyframe);
-      entry.meta = record.meta;
-      index_.push_back(std::move(entry));
-    } catch (const std::runtime_error&) {
-      drop_tail("undecodable record");
-      break;
-    }
-    pos += kFrameBytes + length;
-  }
-  if (!index_.empty() && !index_.front().keyframe) {
-    // Cannot happen with our writer, but a hand-damaged file could start on
-    // a delta; there is nothing to replay it against.
-    index_.clear();
-    recovery_.clean = false;
-    recovery_.reason = "first record is not a key-frame";
-  }
-}
-
-std::uint64_t ArchiveReader::indexed_bytes() const {
-  if (index_.empty()) return kHeaderBytes;
-  const IndexEntry& last = index_.back();
-  return last.payload_offset + last.payload_size;
+  log_ = read_framed_log(
+      path, kFormat, [this](std::string_view payload, std::uint64_t offset) -> const char* {
+        Cursor cursor{payload.data(), payload.size()};
+        const RecordHeader record = decode_record_header(cursor);
+        const bool keyframe = record.kind == kKindKeyframe;
+        // A hand-damaged file could start on a delta; there is nothing to
+        // replay it against.
+        if (index_.empty() && !keyframe) return "first record is not a key-frame";
+        IndexEntry entry;
+        entry.payload_offset = offset;
+        entry.payload_size = static_cast<std::uint32_t>(payload.size());
+        entry.t_ms = record.t_ms;
+        entry.keyframe = keyframe;
+        // Back-pointer to the governing key-frame, so random access is O(1)
+        // instead of walking the delta run backwards.
+        entry.last_keyframe = keyframe ? static_cast<std::uint32_t>(index_.size())
+                                       : index_.back().last_keyframe;
+        entry.meta = record.meta;
+        index_.push_back(std::move(entry));
+        return nullptr;
+      });
 }
 
 sim::TimePoint ArchiveReader::time_at(std::size_t index) const {
@@ -565,7 +434,7 @@ void ArchiveReader::apply_cycle(std::size_t index, Snapshot& state) const {
 void ArchiveReader::decode_into(const IndexEntry& entry, Snapshot& state,
                                 bool& seeded) const {
   records_decoded_.fetch_add(1, std::memory_order_relaxed);
-  Cursor cursor{buffer_.data() + entry.payload_offset, entry.payload_size};
+  Cursor cursor{log_.bytes.data() + entry.payload_offset, entry.payload_size};
   const RecordHeader header = decode_record_header(cursor);
   if (entry.keyframe) {
     state.pairs = decode_table<PairRow>(cursor, decode_row_pair);
@@ -646,7 +515,7 @@ CompactionStats compact_archive(const std::string& input_path,
   stats.cycles_in = reader.size();
   stats.bytes_in = reader.indexed_bytes();
   RollupBuilder rollups(options.sender_threshold_kbps);
-  RollupFingerprint fingerprint;
+  SidecarFingerprint fingerprint;
   reader.for_each([&](std::size_t, const Snapshot& snapshot,
                       const ArchiveCycleMeta& meta) {
     if (options.drop_before && snapshot.captured < *options.drop_before) {
@@ -657,9 +526,9 @@ CompactionStats compact_archive(const std::string& input_path,
     if (options.write_rollups) {
       // Rollups aggregate exactly the cycles that survive into the output,
       // so a bucket straddling drop_before is rebuilt from the kept tail.
-      if (fingerprint.cycles == 0) fingerprint.first_ms = snapshot.captured.total_ms();
+      if (fingerprint.records == 0) fingerprint.first_ms = snapshot.captured.total_ms();
       fingerprint.last_ms = snapshot.captured.total_ms();
-      ++fingerprint.cycles;
+      ++fingerprint.records;
       rollups.observe(snapshot, meta);
     }
   });

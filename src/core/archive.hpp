@@ -4,46 +4,35 @@
 // into the Figs 3-9 analyses; this module provides the capture-to-disk /
 // analyse-later split that makes those long-running deployments possible.
 //
-// On-disk format (binary, little-endian, append-only):
+// On-disk format: a framed log (core/framed) with magic "MARC", version 2,
+// one frame per monitoring cycle. The payload is a varint + delta encoded
+// cycle: either a key-frame (all four raw tables in full) or a delta (the
+// existing PairTable::Delta / RouteTable::Delta / SaTable::Delta /
+// MbgpTable::Delta types against the previous cycle). Row keys are encoded
+// as differences against the previous row in table order, doubles as raw
+// IEEE-754 bits, so reconstruction is bit-exact for every stored field.
+// Derived tables (participants, sessions) are never stored — redundancy
+// avoidance, as in core/log — and are re-derived on read.
 //
-//   file   := header record*
-//   header := magic:u32 ("MARC") version:u16 flags:u16
-//   record := length:u32 crc32:u32 payload[length]
-//
-// The payload is a varint + delta encoded monitoring cycle: either a
-// key-frame (all four raw tables in full) or a delta (the existing
-// PairTable::Delta / RouteTable::Delta / SaTable::Delta / MbgpTable::Delta
-// types against the previous cycle). Row keys are encoded as differences
-// against the previous row in table order, doubles as raw IEEE-754 bits, so
-// reconstruction is bit-exact for every stored field. Derived tables
-// (participants, sessions) are never stored — redundancy avoidance, as in
-// core/log — and are re-derived on read.
-//
-// Crash safety: a record is visible only once its length/CRC frame is
-// complete, so a mid-write kill (or a file truncated at an arbitrary byte)
-// loses at most the final record. ArchiveReader detects the damage via the
-// framing, recovers every complete cycle, and reports the loss in
-// RecoveryInfo — a torn tail never poisons the preceding records.
+// Crash safety is the framed log's: a torn or corrupt tail loses at most
+// the records from the damage on, and ArchiveReader reports the loss in
+// RecoveryInfo.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "core/framed.hpp"
 #include "core/output.hpp"
 #include "core/process.hpp"
 #include "core/tables.hpp"
 #include "core/telemetry.hpp"
 
 namespace mantra::core {
-
-/// CRC-32 (IEEE 802.3 polynomial, the zlib convention) over a byte range.
-[[nodiscard]] std::uint32_t crc32(const void* data, std::size_t size,
-                                  std::uint32_t seed = 0);
 
 /// Collection metadata archived alongside each cycle's tables — the facts a
 /// replay cannot recompute from the tables themselves (PR 1's stale/failure
@@ -105,29 +94,19 @@ class ArchiveWriter {
   /// Metrics always go to the shared registry (commutative).
   void set_stage(TelemetryStage* stage) { stage_ = stage; }
 
-  [[nodiscard]] std::size_t cycles_written() const { return cycles_written_; }
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
+  [[nodiscard]] std::size_t cycles_written() const { return log_.frames_written(); }
+  [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
   [[nodiscard]] const ArchiveOptions& options() const { return options_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
   ArchiveOptions options_;
-  std::FILE* file_ = nullptr;
-  std::size_t cycles_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
+  FramedLogWriter log_;
   Snapshot previous_;
   bool have_previous_ = false;
   Telemetry* telemetry_ = &Telemetry::noop();
   std::string telemetry_label_;
   TelemetryStage* stage_ = nullptr;
-};
-
-/// What ArchiveReader found (and lost) while opening a file.
-struct RecoveryInfo {
-  bool clean = true;            ///< file ended exactly on a record boundary
-  std::uint64_t bytes_dropped = 0;  ///< trailing bytes discarded
-  std::string reason;           ///< why the tail was dropped (empty if clean)
 };
 
 /// Random-access reader over an archive file with a time-range index.
@@ -142,8 +121,8 @@ class ArchiveReader {
   [[nodiscard]] std::size_t size() const { return index_.size(); }
   [[nodiscard]] bool empty() const { return index_.empty(); }
   /// Bytes of the file actually indexed (excludes a dropped torn tail).
-  [[nodiscard]] std::uint64_t indexed_bytes() const;
-  [[nodiscard]] const RecoveryInfo& recovery() const { return recovery_; }
+  [[nodiscard]] std::uint64_t indexed_bytes() const { return log_.indexed_bytes; }
+  [[nodiscard]] const RecoveryInfo& recovery() const { return log_.recovery; }
 
   [[nodiscard]] sim::TimePoint time_at(std::size_t index) const;
   [[nodiscard]] const ArchiveCycleMeta& meta_at(std::size_t index) const;
@@ -196,7 +175,7 @@ class ArchiveReader {
 
  private:
   struct IndexEntry {
-    std::uint64_t payload_offset = 0;  ///< into buffer_, past the frame header
+    std::uint64_t payload_offset = 0;  ///< into the file, past the frame header
     std::uint32_t payload_size = 0;
     std::int64_t t_ms = 0;
     bool keyframe = false;
@@ -206,9 +185,8 @@ class ArchiveReader {
 
   void decode_into(const IndexEntry& entry, Snapshot& state, bool& seeded) const;
 
-  std::string buffer_;  ///< entire file contents
+  FramedLog log_;  ///< entire file contents and what opening it recovered
   std::vector<IndexEntry> index_;
-  RecoveryInfo recovery_;
   /// Decode counter only — never feeds back into results; relaxed updates
   /// keep const readers shareable across query threads.
   mutable std::atomic<std::uint64_t> records_decoded_{0};

@@ -1,11 +1,10 @@
-// Internal byte-codec primitives shared by the on-disk formats: the `.marc`
-// snapshot archive (core/archive) and the `.mroll` rollup sidecar
-// (core/query). Little-endian fixed-width integers, LEB128 varints (signed
-// values zigzag-encoded), doubles as raw IEEE-754 bits, length-prefixed
-// strings — plus the bounds-checked decode Cursor whose overrun throws are
-// how both readers convert payload damage into tail truncation instead of a
-// crash. Not installed API: everything here is an implementation detail of
-// the two codecs.
+// Byte-codec primitives shared by every on-disk format: the core/framed
+// container and the `.marc`, `.mtel`, `.mroll` and `.mtrl` payload codecs.
+// Little-endian fixed-width integers, LEB128 varints (signed values
+// zigzag-encoded), doubles as raw IEEE-754 bits, length-prefixed strings —
+// plus the bounds-checked decode Cursor whose overrun throws are how the
+// readers convert payload damage into tail truncation (or an absent
+// sidecar) instead of a crash.
 #pragma once
 
 #include <cstdint>

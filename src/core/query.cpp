@@ -1,7 +1,6 @@
 #include "core/query.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <stdexcept>
 #include <utility>
@@ -14,13 +13,10 @@ namespace {
 using codec::Cursor;
 using codec::put_f64;
 using codec::put_svarint;
-using codec::put_u32;
 using codec::put_varint;
 
 // 'M' 'R' 'L' 'L' little-endian, the sidecar's counterpart of "MARC".
-constexpr std::uint32_t kRollupMagic = 0x4C4C524Du;
-constexpr std::uint32_t kRollupVersion = 1;
-constexpr std::size_t kRollupHeaderBytes = 8;  // magic:u32 version:u32
+constexpr SidecarFormat kRollupFormat{0x4C4C524Du, 1, ".mroll"};
 
 // --- Per-cycle metric values ------------------------------------------------
 //
@@ -120,36 +116,74 @@ double metric_value(QueryMetric metric, const Snapshot& raw,
   return 0.0;  // unreachable: the switch is exhaustive
 }
 
-std::int64_t bucket_ms_for(QueryResolution resolution) {
-  return resolution == QueryResolution::hour ? kHourMs : kDayMs;
+}  // namespace
+
+// --- Buckets ----------------------------------------------------------------
+
+std::int64_t bucket_floor(std::int64_t t_ms, std::int64_t width) {
+  std::int64_t q = t_ms / width;
+  if (t_ms % width != 0 && t_ms < 0) --q;  // floor, not truncation
+  return q * width;
 }
 
-std::int64_t bucket_start(std::int64_t t_ms, std::int64_t bucket_ms) {
-  std::int64_t q = t_ms / bucket_ms;
-  if (t_ms % bucket_ms != 0 && t_ms < 0) --q;  // floor, not truncation
-  return q * bucket_ms;
+void MetricRollup::add(double value, bool first) {
+  if (first) {
+    min = max = sum = last = value;
+    return;
+  }
+  min = std::min(min, value);
+  max = std::max(max, value);
+  sum += value;
+  last = value;
 }
 
-double aggregate_value(QueryAggregate aggregate, const MetricRollup& rollup,
-                       std::uint32_t cycles) {
+double MetricRollup::value(QueryAggregate aggregate, std::uint32_t count) const {
   switch (aggregate) {
     case QueryAggregate::last:
-      return rollup.last;
+      return last;
     case QueryAggregate::min:
-      return rollup.min;
+      return min;
     case QueryAggregate::max:
-      return rollup.max;
+      return max;
     case QueryAggregate::mean:
-      return cycles == 0 ? 0.0 : rollup.sum / static_cast<double>(cycles);
+      return count == 0 ? 0.0 : sum / static_cast<double>(count);
     case QueryAggregate::sum:
-      return rollup.sum;
+      return sum;
     case QueryAggregate::count:
-      return static_cast<double>(cycles);
+      return static_cast<double>(count);
   }
-  return 0.0;  // unreachable
+  return 0.0;  // unreachable: the switch is exhaustive
 }
 
-}  // namespace
+QueryWindow query_window(sim::TimePoint from, sim::TimePoint to,
+                         QueryResolution resolution) {
+  QueryWindow window{from.total_ms(), to.total_ms(), 0};
+  if (resolution != QueryResolution::raw) {
+    window.width = resolution == QueryResolution::hour ? kHourMs : kDayMs;
+    window.from_ms = bucket_floor(window.from_ms, window.width);
+    window.to_ms = bucket_floor(window.to_ms, window.width) + window.width - 1;
+  }
+  return window;
+}
+
+void PointFolder::add(std::int64_t t_ms, double value) {
+  if (width_ == 0) {
+    out_.push_back({sim::TimePoint::from_ms(t_ms), value, 1});
+    return;
+  }
+  const std::int64_t start = bucket_floor(t_ms, width_);
+  if (bucket_count_ > 0 && start != bucket_start_) finish();
+  bucket_start_ = start;
+  bucket_.add(value, bucket_count_ == 0);
+  ++bucket_count_;
+}
+
+void PointFolder::finish() {
+  if (bucket_count_ == 0) return;
+  out_.push_back({sim::TimePoint::from_ms(bucket_start_),
+                  bucket_.value(aggregate_, bucket_count_), bucket_count_});
+  bucket_count_ = 0;
+}
 
 const char* to_string(QueryMetric metric) {
   switch (metric) {
@@ -191,21 +225,11 @@ struct RollupBuilder::Impl {
             std::int64_t bucket_width, std::int64_t t_ms,
             const std::array<double, kQueryMetricCount>& values, bool stale,
             bool failed) {
-    const std::int64_t start = bucket_start(t_ms, bucket_width);
+    const std::int64_t start = bucket_floor(t_ms, bucket_width);
     RollupBucket& bucket = buckets[start];
-    if (bucket.cycles == 0) {
-      bucket.start_ms = start;
-      for (std::size_t m = 0; m < kQueryMetricCount; ++m) {
-        bucket.metrics[m] = {values[m], values[m], values[m], values[m]};
-      }
-    } else {
-      for (std::size_t m = 0; m < kQueryMetricCount; ++m) {
-        MetricRollup& rollup = bucket.metrics[m];
-        rollup.min = std::min(rollup.min, values[m]);
-        rollup.max = std::max(rollup.max, values[m]);
-        rollup.sum += values[m];
-        rollup.last = values[m];
-      }
+    bucket.start_ms = start;
+    for (std::size_t m = 0; m < kQueryMetricCount; ++m) {
+      bucket.metrics[m].add(values[m], bucket.cycles == 0);
     }
     ++bucket.cycles;
     if (stale) ++bucket.stale_cycles;
@@ -242,7 +266,7 @@ void RollupBuilder::observe(const Snapshot& raw, const ArchiveCycleMeta& meta) {
   impl.fold(impl.daily, kDayMs, t_ms, values, meta.stale, failed);
 }
 
-RollupSidecar RollupBuilder::finish(RollupFingerprint fingerprint) {
+RollupSidecar RollupBuilder::finish(SidecarFingerprint fingerprint) {
   RollupSidecar sidecar;
   sidecar.source = fingerprint;
   sidecar.hourly.reserve(impl_->hourly.size());
@@ -254,9 +278,9 @@ RollupSidecar RollupBuilder::finish(RollupFingerprint fingerprint) {
   return sidecar;
 }
 
-RollupFingerprint fingerprint_of(const ArchiveReader& reader) {
-  RollupFingerprint fingerprint;
-  fingerprint.cycles = reader.size();
+SidecarFingerprint fingerprint_of(const ArchiveReader& reader) {
+  SidecarFingerprint fingerprint;
+  fingerprint.records = reader.size();
   if (!reader.empty()) {
     fingerprint.first_ms = reader.first_time().total_ms();
     fingerprint.last_ms = reader.last_time().total_ms();
@@ -274,12 +298,7 @@ RollupSidecar build_rollups(const ArchiveReader& reader,
 }
 
 std::string rollup_path_for(const std::string& archive_path) {
-  const std::size_t slash = archive_path.find_last_of('/');
-  const std::size_t dot = archive_path.find_last_of('.');
-  if (dot == std::string::npos || (slash != std::string::npos && dot < slash)) {
-    return archive_path + ".mroll";
-  }
-  return archive_path.substr(0, dot) + ".mroll";
+  return sidecar_path_for(archive_path, kRollupFormat);
 }
 
 namespace {
@@ -315,78 +334,31 @@ RollupBucket read_bucket(Cursor& cursor) {
 }  // namespace
 
 bool write_rollup_sidecar(const std::string& path, const RollupSidecar& sidecar) {
-  std::string payload;
-  put_varint(payload, sidecar.source.cycles);
-  put_svarint(payload, sidecar.source.first_ms);
-  put_svarint(payload, sidecar.source.last_ms);
-  put_varint(payload, sidecar.source.indexed_bytes);
+  std::string body;
   // Metric count is part of the contract: a sidecar written by a build with
   // a different metric set must be rejected, not misinterpreted.
-  put_varint(payload, kQueryMetricCount);
-  put_varint(payload, sidecar.hourly.size());
-  for (const RollupBucket& bucket : sidecar.hourly) put_bucket(payload, bucket);
-  put_varint(payload, sidecar.daily.size());
-  for (const RollupBucket& bucket : sidecar.daily) put_bucket(payload, bucket);
-
-  std::string file;
-  file.reserve(kRollupHeaderBytes + 8 + payload.size());
-  put_u32(file, kRollupMagic);
-  put_u32(file, kRollupVersion);
-  put_u32(file, static_cast<std::uint32_t>(payload.size()));
-  put_u32(file, crc32(payload.data(), payload.size()));
-  file.append(payload);
-
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) return false;
-  const bool ok = std::fwrite(file.data(), 1, file.size(), out) == file.size();
-  return std::fclose(out) == 0 && ok;
+  put_varint(body, kQueryMetricCount);
+  put_varint(body, sidecar.hourly.size());
+  for (const RollupBucket& bucket : sidecar.hourly) put_bucket(body, bucket);
+  put_varint(body, sidecar.daily.size());
+  for (const RollupBucket& bucket : sidecar.daily) put_bucket(body, bucket);
+  return write_sidecar(path, kRollupFormat, sidecar.source, body);
 }
 
 std::optional<RollupSidecar> load_rollup_sidecar(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return std::nullopt;
-  std::string contents;
-  char chunk[65536];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof chunk, in)) > 0) {
-    contents.append(chunk, got);
-  }
-  std::fclose(in);
-
-  try {
-    Cursor cursor{contents.data(), contents.size()};
-    if (cursor.u32() != kRollupMagic) return std::nullopt;
-    if (cursor.u32() != kRollupVersion) return std::nullopt;
-    const std::uint32_t length = cursor.u32();
-    const std::uint32_t expected_crc = cursor.u32();
-    // One record, exactly: trailing bytes mean the file is not what this
-    // writer produces, so treat it as damage.
-    if (contents.size() != kRollupHeaderBytes + 8 + length) return std::nullopt;
-    const char* payload = contents.data() + kRollupHeaderBytes + 8;
-    if (crc32(payload, length) != expected_crc) return std::nullopt;
-
-    Cursor body{payload, length};
-    RollupSidecar sidecar;
-    sidecar.source.cycles = body.varint();
-    sidecar.source.first_ms = body.svarint();
-    sidecar.source.last_ms = body.svarint();
-    sidecar.source.indexed_bytes = body.varint();
-    if (body.varint() != kQueryMetricCount) return std::nullopt;
-    const std::uint64_t hourly = body.varint();
-    sidecar.hourly.reserve(hourly);
-    for (std::uint64_t i = 0; i < hourly; ++i) {
-      sidecar.hourly.push_back(read_bucket(body));
+  RollupSidecar sidecar;
+  const bool loaded = load_sidecar(path, kRollupFormat, sidecar.source, [&](Cursor& body) {
+    if (body.varint() != kQueryMetricCount) {
+      throw std::runtime_error("rollup sidecar metric set differs");
     }
-    const std::uint64_t daily = body.varint();
-    sidecar.daily.reserve(daily);
-    for (std::uint64_t i = 0; i < daily; ++i) {
-      sidecar.daily.push_back(read_bucket(body));
+    for (std::vector<RollupBucket>* buckets : {&sidecar.hourly, &sidecar.daily}) {
+      const std::uint64_t count = body.varint();
+      buckets->reserve(count);
+      for (std::uint64_t i = 0; i < count; ++i) buckets->push_back(read_bucket(body));
     }
-    if (body.pos != body.size) return std::nullopt;
-    return sidecar;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  });
+  if (!loaded) return std::nullopt;
+  return sidecar;
 }
 
 // --- BlockCache -------------------------------------------------------------
@@ -520,14 +492,8 @@ void QueryEngine::add_archive(std::string target, const std::string& path) {
   source->name = std::move(target);
   source->id = static_cast<std::uint32_t>(sources_.size());
   source->reader = std::make_unique<ArchiveReader>(path);
-  if (std::optional<RollupSidecar> sidecar =
-          load_rollup_sidecar(rollup_path_for(path))) {
-    if (sidecar->source == fingerprint_of(*source->reader)) {
-      source->rollups = std::move(sidecar);
-    } else {
-      ++rollups_rejected_;  // stale sidecar (e.g. re-compacted archive)
-    }
-  }
+  source->rollups = keep_if_fresh(load_rollup_sidecar(rollup_path_for(path)),
+                                  fingerprint_of(*source->reader), rollups_rejected_);
   sources_.push_back(std::move(source));
 }
 
@@ -564,32 +530,22 @@ QueryResult QueryEngine::run(const Query& query) const {
   }
   if (query_counter_ != nullptr) query_counter_->inc();
 
-  std::int64_t from_ms = query.from.total_ms();
-  std::int64_t to_ms = query.to.total_ms();
-  if (query.resolution != QueryResolution::raw) {
-    // Snap outward to whole buckets: every bucket intersecting [from, to] is
-    // aggregated over ALL its cycles, so the rollup-served and raw-scanned
-    // answers are identical by construction.
-    const std::int64_t width = bucket_ms_for(query.resolution);
-    from_ms = bucket_start(from_ms, width);
-    to_ms = bucket_start(to_ms, width) + width - 1;
-  }
-  if (from_ms > to_ms) return {};
+  const QueryWindow window = query_window(query.from, query.to, query.resolution);
+  if (window.from_ms > window.to_ms) return {};
 
   const bool unfiltered = !query.min_value && !query.max_value &&
                           query.include_stale && query.include_failed;
   if (query.resolution != QueryResolution::raw && query.allow_rollup &&
       source->rollups && unfiltered) {
-    QueryResult result = run_rollup(*source, query, from_ms, to_ms);
+    QueryResult result = run_rollup(*source, query, window);
     if (rollup_served_counter_ != nullptr) rollup_served_counter_->inc();
     return result;
   }
-  return run_raw(*source, query, from_ms, to_ms);
+  return run_raw(*source, query, window);
 }
 
 QueryResult QueryEngine::run_rollup(const Source& source, const Query& query,
-                                    std::int64_t from_ms,
-                                    std::int64_t to_ms) const {
+                                    const QueryWindow& window) const {
   const std::vector<RollupBucket>& buckets =
       query.resolution == QueryResolution::hour ? source.rollups->hourly
                                                 : source.rollups->daily;
@@ -597,17 +553,16 @@ QueryResult QueryEngine::run_rollup(const Source& source, const Query& query,
   result.from_rollup = true;
   // Buckets are sorted by start_ms; binary-search the first in range.
   auto it = std::lower_bound(
-      buckets.begin(), buckets.end(), from_ms,
+      buckets.begin(), buckets.end(), window.from_ms,
       [](const RollupBucket& bucket, std::int64_t value) {
         return bucket.start_ms < value;
       });
   const std::size_t metric = static_cast<std::size_t>(query.metric);
-  for (; it != buckets.end() && it->start_ms <= to_ms; ++it) {
+  for (; it != buckets.end() && it->start_ms <= window.to_ms; ++it) {
     ++result.rollup_buckets;
-    result.points.push_back(
-        {sim::TimePoint::from_ms(it->start_ms),
-         aggregate_value(query.aggregate, it->metrics[metric], it->cycles),
-         it->cycles});
+    result.points.push_back({sim::TimePoint::from_ms(it->start_ms),
+                             it->metrics[metric].value(query.aggregate, it->cycles),
+                             it->cycles});
   }
   return result;
 }
@@ -633,15 +588,14 @@ void QueryEngine::fetch_block(const Source& source, std::size_t index,
 }
 
 QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
-                                 std::int64_t from_ms,
-                                 std::int64_t to_ms) const {
+                                 const QueryWindow& window) const {
   const ArchiveReader& reader = *source.reader;
   QueryResult result;
   const std::optional<std::size_t> first =
-      reader.index_at_or_after(sim::TimePoint::from_ms(from_ms));
+      reader.index_at_or_after(sim::TimePoint::from_ms(window.from_ms));
   if (!first) return result;
   const std::optional<std::size_t> last =
-      reader.index_at_or_before(sim::TimePoint::from_ms(to_ms));
+      reader.index_at_or_before(sim::TimePoint::from_ms(window.to_ms));
   if (!last || *last < *first) return result;
 
   const bool track_routes = query.metric == QueryMetric::route_changes;
@@ -659,21 +613,7 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
   RouteTable previous_routes;
   bool have_previous = false;
 
-  // Coarse-resolution accumulator (raw fallback for filtered queries).
-  const bool bucketed = query.resolution != QueryResolution::raw;
-  const std::int64_t width =
-      bucketed ? bucket_ms_for(query.resolution) : 0;
-  MetricRollup bucket_rollup;
-  std::int64_t bucket_start_ms = 0;
-  std::uint32_t bucket_samples = 0;
-  const auto flush_bucket = [&] {
-    if (bucket_samples == 0) return;
-    result.points.push_back(
-        {sim::TimePoint::from_ms(bucket_start_ms),
-         aggregate_value(query.aggregate, bucket_rollup, bucket_samples),
-         bucket_samples});
-    bucket_samples = 0;
-  };
+  PointFolder points(window, query.aggregate, result.points);
 
   for (std::size_t i = start; i <= *last; ++i) {
     if (i == start) {
@@ -710,25 +650,9 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
                                       participants, route_changes);
     if (query.min_value && value < *query.min_value) continue;
     if (query.max_value && value > *query.max_value) continue;
-
-    if (!bucketed) {
-      result.points.push_back({state.captured, value, 1});
-      continue;
-    }
-    const std::int64_t bucket = bucket_start(state.captured.total_ms(), width);
-    if (bucket_samples > 0 && bucket != bucket_start_ms) flush_bucket();
-    if (bucket_samples == 0) {
-      bucket_start_ms = bucket;
-      bucket_rollup = {value, value, value, value};
-    } else {
-      bucket_rollup.min = std::min(bucket_rollup.min, value);
-      bucket_rollup.max = std::max(bucket_rollup.max, value);
-      bucket_rollup.sum += value;
-      bucket_rollup.last = value;
-    }
-    ++bucket_samples;
+    points.add(state.captured.total_ms(), value);
   }
-  flush_bucket();
+  points.finish();
   return result;
 }
 

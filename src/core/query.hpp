@@ -80,15 +80,36 @@ inline constexpr std::size_t kQueryMetricCount = 15;
 
 [[nodiscard]] const char* to_string(QueryMetric metric);
 
+enum class QueryResolution : std::uint8_t {
+  raw,   ///< one point per archived cycle
+  hour,  ///< one point per hour bucket (aggregate chosen below)
+  day,
+};
+
+enum class QueryAggregate : std::uint8_t { last, min, max, mean, sum, count };
+
+inline constexpr std::int64_t kHourMs = 3'600'000;
+inline constexpr std::int64_t kDayMs = 86'400'000;
+
+/// Start of the `width`-wide bucket holding `t_ms`: floor division, so
+/// negative times land in the bucket below, not the one towards zero.
+[[nodiscard]] std::int64_t bucket_floor(std::int64_t t_ms, std::int64_t width);
+
 // --- Rollup sidecar --------------------------------------------------------
 
-/// One metric's aggregate over one bucket. `count` lives on the bucket (it
-/// is the same for every metric: the cycles in the bucket).
+/// One value's aggregate over one bucket, shared by the `.mroll` and `.mtrl`
+/// rollups and by the raw scans that must reproduce them bit for bit. The
+/// value count lives on the bucket.
 struct MetricRollup {
   double min = 0.0;
   double max = 0.0;
   double sum = 0.0;
   double last = 0.0;
+
+  /// Folds the bucket's next value in arrival order; `first` starts it.
+  void add(double value, bool first);
+  /// The bucket's answer to `aggregate` over `count` folded values.
+  [[nodiscard]] double value(QueryAggregate aggregate, std::uint32_t count) const;
 
   friend bool operator==(const MetricRollup&, const MetricRollup&) = default;
 };
@@ -103,27 +124,11 @@ struct RollupBucket {
   friend bool operator==(const RollupBucket&, const RollupBucket&) = default;
 };
 
-/// Identity of the archive a sidecar was built from. A sidecar whose
-/// fingerprint does not match the opened archive is stale — compaction with
-/// a retention horizon changes cycle count, first timestamp and byte size —
-/// and is ignored rather than served.
-struct RollupFingerprint {
-  std::uint64_t cycles = 0;
-  std::int64_t first_ms = 0;
-  std::int64_t last_ms = 0;
-  std::uint64_t indexed_bytes = 0;
-
-  friend bool operator==(const RollupFingerprint&, const RollupFingerprint&) = default;
-};
-
 struct RollupSidecar {
-  RollupFingerprint source;
+  SidecarFingerprint source;  ///< the `.marc` it summarizes (records = cycles)
   std::vector<RollupBucket> hourly;  ///< ascending start_ms, gaps allowed
   std::vector<RollupBucket> daily;
 };
-
-inline constexpr std::int64_t kHourMs = 3'600'000;
-inline constexpr std::int64_t kDayMs = 86'400'000;
 
 /// Streaming rollup accumulator: feed cycles in archive order, collect the
 /// sidecar at the end. Derives usage tables into reused scratch storage and
@@ -138,7 +143,7 @@ class RollupBuilder {
 
   /// Finalizes open buckets and returns the sidecar stamped with
   /// `fingerprint`. The builder is spent afterwards.
-  [[nodiscard]] RollupSidecar finish(RollupFingerprint fingerprint);
+  [[nodiscard]] RollupSidecar finish(SidecarFingerprint fingerprint);
 
  private:
   struct Impl;
@@ -146,7 +151,7 @@ class RollupBuilder {
 };
 
 /// The fingerprint an up-to-date sidecar for `reader` must carry.
-[[nodiscard]] RollupFingerprint fingerprint_of(const ArchiveReader& reader);
+[[nodiscard]] SidecarFingerprint fingerprint_of(const ArchiveReader& reader);
 
 /// Builds rollups for an existing archive in one sequential pass (the
 /// compaction-time path is RollupBuilder inside compact_archive).
@@ -158,7 +163,7 @@ class RollupBuilder {
 /// replaced the same way; a bare name gains `.mroll`).
 [[nodiscard]] std::string rollup_path_for(const std::string& archive_path);
 
-/// Writes the sidecar (MRLL header + one CRC-framed payload). False on I/O
+/// Writes the sidecar (the core/framed envelope, magic "MRLL"). False on I/O
 /// failure, never throws.
 bool write_rollup_sidecar(const std::string& path, const RollupSidecar& sidecar);
 
@@ -249,14 +254,6 @@ class BlockCache {
 
 // --- Queries ---------------------------------------------------------------
 
-enum class QueryResolution : std::uint8_t {
-  raw,   ///< one point per archived cycle
-  hour,  ///< one point per hour bucket (aggregate chosen below)
-  day,
-};
-
-enum class QueryAggregate : std::uint8_t { last, min, max, mean, sum, count };
-
 /// One question. Range semantics: cycles with from <= t <= to participate;
 /// for hour/day resolution the range snaps outward to whole buckets (every
 /// bucket that intersects [from, to] is aggregated over ALL its cycles), so
@@ -291,6 +288,41 @@ struct QueryResult {
   std::uint64_t rollup_buckets = 0;    ///< sidecar buckets consulted
   std::uint64_t cache_hits = 0;        ///< key-frame blocks served from cache
   std::uint64_t cache_misses = 0;
+};
+
+/// A query's time range in milliseconds. At hour/day resolution it snaps
+/// outward to whole buckets: every bucket intersecting [from, to] counts
+/// all of its records, so rollup-served and raw-scanned answers agree by
+/// construction. Empty when from > to.
+struct QueryWindow {
+  std::int64_t from_ms = 0;
+  std::int64_t to_ms = 0;
+  std::int64_t width = 0;  ///< bucket width; 0 at raw resolution
+};
+[[nodiscard]] QueryWindow query_window(sim::TimePoint from, sim::TimePoint to,
+                                       QueryResolution resolution);
+
+/// The raw-scan side of a query: takes (time, value) in time order and emits
+/// one point per record at raw resolution, or one aggregated point per
+/// bucket, folded with the same MetricRollup arithmetic the rollup builders
+/// use.
+class PointFolder {
+ public:
+  PointFolder(const QueryWindow& window, QueryAggregate aggregate,
+              std::vector<QueryPoint>& out)
+      : width_(window.width), aggregate_(aggregate), out_(out) {}
+
+  void add(std::int64_t t_ms, double value);
+  /// Emits the open bucket; call once after the last add.
+  void finish();
+
+ private:
+  std::int64_t width_;
+  QueryAggregate aggregate_;
+  std::vector<QueryPoint>& out_;
+  MetricRollup bucket_;
+  std::int64_t bucket_start_ = 0;
+  std::uint32_t bucket_count_ = 0;
 };
 
 struct QueryEngineOptions {
@@ -346,9 +378,9 @@ class QueryEngine {
 
   [[nodiscard]] const Source* find(const std::string& target) const;
   [[nodiscard]] QueryResult run_rollup(const Source& source, const Query& query,
-                                       std::int64_t from_ms, std::int64_t to_ms) const;
+                                       const QueryWindow& window) const;
   [[nodiscard]] QueryResult run_raw(const Source& source, const Query& query,
-                                    std::int64_t from_ms, std::int64_t to_ms) const;
+                                    const QueryWindow& window) const;
   /// Loads key-frame `index` into `state` through the cache.
   void fetch_block(const Source& source, std::size_t index, Snapshot& state,
                    QueryResult& result) const;

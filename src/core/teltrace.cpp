@@ -1,17 +1,12 @@
 #include "core/teltrace.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <utility>
 
 #include "core/codec.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace mantra::core {
 
@@ -21,15 +16,10 @@ using codec::Cursor;
 using codec::put_f64;
 using codec::put_string;
 using codec::put_svarint;
-using codec::put_u32;
 using codec::put_varint;
 
-constexpr std::uint32_t kMagic = 0x4C45544Du;  // "MTEL" little-endian
-constexpr std::uint16_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 8;
-constexpr std::size_t kFrameBytes = 8;  // length:u32 + crc:u32
-/// Corruption guard: a garbage length field must not trigger a huge read.
-constexpr std::uint32_t kMaxRecordBytes = 256u * 1024 * 1024;
+constexpr FramedLogFormat kFormat{0x4C45544Du, 1, ".mtel"};  // "MTEL"
+constexpr SidecarFormat kRollupFormat{0x4C52544Du, 1, ".mtrl"};  // "MTRL"
 
 constexpr std::uint8_t kRecordKeyframe = 1;
 constexpr std::uint8_t kRecordDelta = 2;
@@ -37,10 +27,6 @@ constexpr std::uint8_t kRecordDelta = 2;
 constexpr std::uint8_t kKindCounter = 0;
 constexpr std::uint8_t kKindGauge = 1;
 constexpr std::uint8_t kKindHistogram = 2;
-
-constexpr std::uint32_t kRollupMagic = 0x4C52544Du;  // "MTRL" little-endian
-constexpr std::uint32_t kRollupVersion = 1;
-constexpr std::size_t kRollupHeaderBytes = 8;
 
 std::uint64_t f64_bits(double value) {
   std::uint64_t bits = 0;
@@ -68,12 +54,6 @@ const Sample* find_sample(const std::vector<Sample>& entries,
     return &*it;
   }
   return nullptr;
-}
-
-std::int64_t hour_start(std::int64_t t_ms) {
-  std::int64_t q = t_ms / kHourMs;
-  if (t_ms % kHourMs != 0 && t_ms < 0) --q;  // floor, not truncation
-  return q * kHourMs;
 }
 
 /// Series key of one metric instance: `name` or `name{labels}`.
@@ -107,27 +87,6 @@ void enumerate_series_values(const MetricsSnapshot& snapshot, Fn&& fn) {
     fn(base + ":p50", histogram.quantile(0.5));
     fn(base + ":p95", histogram.quantile(0.95));
   }
-}
-
-double aggregate_bucket(QueryAggregate aggregate,
-                        const TelemetryRollupBucket& bucket) {
-  switch (aggregate) {
-    case QueryAggregate::last:
-      return bucket.last;
-    case QueryAggregate::min:
-      return bucket.min;
-    case QueryAggregate::max:
-      return bucket.max;
-    case QueryAggregate::mean:
-      return bucket.samples == 0
-                 ? 0.0
-                 : bucket.sum / static_cast<double>(bucket.samples);
-    case QueryAggregate::sum:
-      return bucket.sum;
-    case QueryAggregate::count:
-      return static_cast<double>(bucket.samples);
-  }
-  return 0.0;  // unreachable: the switch is exhaustive
 }
 
 double zero_extract(const CycleResult&) { return 0.0; }
@@ -187,51 +146,44 @@ std::optional<double> self_cycle_duration_s(const TelemetrySample* prev,
 
 // --- .mtel writer ----------------------------------------------------------
 
-/// Per-metric encoder state: identity plus the previously written values the
-/// next delta record encodes against. New entries start from zero baselines,
-/// so a metric appearing mid-file still delta-encodes its first value.
+/// Per-metric codec state, shared by the writer and the reader: identity plus
+/// the last value written or read, which the next delta record is relative
+/// to. New entries start from zero baselines, so a metric appearing mid-file
+/// still delta-encodes its first value.
 struct TelemetryArchiveWriter::DictEntry {
   std::uint8_t kind = kKindCounter;
   std::string name;
   std::string labels;
   std::vector<double> bounds;  ///< histograms only
-  std::uint64_t prev_counter = 0;
-  std::uint64_t prev_gauge_bits = 0;
-  std::vector<std::uint64_t> prev_buckets;  ///< per-bound + trailing +Inf
-  std::uint64_t prev_count = 0;
-  std::uint64_t prev_sum_bits = 0;
+  std::uint64_t counter = 0;
+  std::uint64_t gauge_bits = 0;
+  std::vector<std::uint64_t> buckets;  ///< per-bound + trailing +Inf
+  std::uint64_t count = 0;
+  std::uint64_t sum_bits = 0;
 };
 
-TelemetryArchiveWriter::TelemetryArchiveWriter(std::string path,
-                                               TelemetryArchiveOptions options)
-    : path_(std::move(path)), options_(options) {
-  if (options_.keyframe_interval < 1) {
+namespace {
+
+/// Validates before the writer's file is created.
+TelemetryArchiveOptions checked(TelemetryArchiveOptions options) {
+  if (options.keyframe_interval < 1) {
     throw std::runtime_error(
         "TelemetryArchiveWriter: keyframe_interval must be >= 1");
   }
-  file_ = std::fopen(path_.c_str(), "wb");
-  if (file_ == nullptr) {
-    throw std::runtime_error("TelemetryArchiveWriter: cannot open " + path_);
-  }
-  std::string header;
-  put_u32(header, kMagic);
-  header.push_back(static_cast<char>(kVersion & 0xFF));
-  header.push_back(static_cast<char>(kVersion >> 8));
-  header.push_back(0);  // flags
-  header.push_back(0);
-  std::fwrite(header.data(), 1, header.size(), file_);
-  bytes_written_ = header.size();
+  return options;
 }
 
-TelemetryArchiveWriter::~TelemetryArchiveWriter() { close(); }
+}  // namespace
+
+TelemetryArchiveWriter::TelemetryArchiveWriter(std::string path,
+                                               TelemetryArchiveOptions options)
+    : options_(checked(options)), log_(std::move(path), kFormat) {}
+
+TelemetryArchiveWriter::~TelemetryArchiveWriter() = default;
 
 void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
-  if (file_ == nullptr) {
-    throw std::runtime_error("TelemetryArchiveWriter: appending to closed " +
-                             path_);
-  }
   const bool keyframe =
-      samples_written_ %
+      log_.frames_written() %
           static_cast<std::size_t>(options_.keyframe_interval) ==
       0;
 
@@ -255,7 +207,7 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
       entry.labels = labels;
       if (bounds != nullptr) {
         entry.bounds = *bounds;
-        entry.prev_buckets.assign(bounds->size() + 1, 0);
+        entry.buckets.assign(bounds->size() + 1, 0);
       }
       dict_.push_back(std::move(entry));
       new_ids.push_back(it->second);
@@ -355,55 +307,55 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
       case kKindCounter: {
         const std::uint64_t value = cur_counters[id] != nullptr
                                         ? cur_counters[id]->value
-                                        : entry.prev_counter;
+                                        : entry.counter;
         if (keyframe) {
           put_varint(payload, value);
         } else {
           put_svarint(payload,
-                      static_cast<std::int64_t>(value - entry.prev_counter));
+                      static_cast<std::int64_t>(value - entry.counter));
         }
-        entry.prev_counter = value;
+        entry.counter = value;
         break;
       }
       case kKindGauge: {
         const std::uint64_t bits = cur_gauges[id] != nullptr
                                        ? f64_bits(cur_gauges[id]->value)
-                                       : entry.prev_gauge_bits;
+                                       : entry.gauge_bits;
         if (keyframe) {
           put_f64(payload, bits_f64(bits));
         } else {
-          put_varint(payload, bits ^ entry.prev_gauge_bits);
+          put_varint(payload, bits ^ entry.gauge_bits);
         }
-        entry.prev_gauge_bits = bits;
+        entry.gauge_bits = bits;
         break;
       }
       case kKindHistogram: {
         const MetricsSnapshot::HistogramSample* histogram = cur_histograms[id];
-        for (std::size_t b = 0; b < entry.prev_buckets.size(); ++b) {
+        for (std::size_t b = 0; b < entry.buckets.size(); ++b) {
           const std::uint64_t value =
-              histogram != nullptr ? histogram->buckets[b] : entry.prev_buckets[b];
+              histogram != nullptr ? histogram->buckets[b] : entry.buckets[b];
           if (keyframe) {
             put_varint(payload, value);
           } else {
             put_svarint(payload, static_cast<std::int64_t>(
-                                     value - entry.prev_buckets[b]));
+                                     value - entry.buckets[b]));
           }
-          entry.prev_buckets[b] = value;
+          entry.buckets[b] = value;
         }
         const std::uint64_t count =
-            histogram != nullptr ? histogram->count : entry.prev_count;
+            histogram != nullptr ? histogram->count : entry.count;
         const std::uint64_t sum_bits =
-            histogram != nullptr ? f64_bits(histogram->sum) : entry.prev_sum_bits;
+            histogram != nullptr ? f64_bits(histogram->sum) : entry.sum_bits;
         if (keyframe) {
           put_varint(payload, count);
           put_f64(payload, bits_f64(sum_bits));
         } else {
           put_svarint(payload,
-                      static_cast<std::int64_t>(count - entry.prev_count));
-          put_varint(payload, sum_bits ^ entry.prev_sum_bits);
+                      static_cast<std::int64_t>(count - entry.count));
+          put_varint(payload, sum_bits ^ entry.sum_bits);
         }
-        entry.prev_count = count;
-        entry.prev_sum_bits = sum_bits;
+        entry.count = count;
+        entry.sum_bits = sum_bits;
         break;
       }
       default:
@@ -425,105 +377,36 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
     }
   }
 
-  std::string frame;
-  frame.reserve(kFrameBytes + payload.size());
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload.data(), payload.size()));
-  frame.append(payload);
-  if (std::fwrite(frame.data(), 1, frame.size(), file_) != frame.size()) {
-    throw std::runtime_error("TelemetryArchiveWriter: short write to " + path_);
-  }
-  bytes_written_ += frame.size();
-  ++samples_written_;
-
+  log_.append(payload);
   if (keyframe && options_.fsync_on_keyframe) sync();
 }
 
-void TelemetryArchiveWriter::sync() {
-  if (file_ == nullptr) return;
-  std::fflush(file_);
-#if defined(__unix__) || defined(__APPLE__)
-  ::fsync(fileno(file_));
-#endif
-}
+void TelemetryArchiveWriter::sync() { log_.sync(); }
 
-void TelemetryArchiveWriter::close() {
-  if (file_ == nullptr) return;
-  std::fflush(file_);
-  std::fclose(file_);
-  file_ = nullptr;
-}
+void TelemetryArchiveWriter::close() { log_.close(); }
 
 // --- .mtel reader ----------------------------------------------------------
 
 TelemetryArchiveReader::TelemetryArchiveReader(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) {
-    throw std::runtime_error("TelemetryArchiveReader: cannot open " + path);
-  }
-  std::string buffer;
-  char chunk[65536];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof chunk, in)) > 0) {
-    buffer.append(chunk, got);
-  }
-  std::fclose(in);
-
-  if (buffer.size() < kHeaderBytes) {
-    if (!buffer.empty()) {
-      recovery_.clean = false;
-      recovery_.bytes_dropped = buffer.size();
-      recovery_.reason = "truncated file header";
-    }
-    return;
-  }
-  Cursor header{buffer.data(), buffer.size()};
-  if (header.u32() != kMagic) {
-    throw std::runtime_error("TelemetryArchiveReader: bad magic in " + path);
-  }
-  const std::uint16_t version =
-      static_cast<std::uint16_t>(header.u8()) |
-      static_cast<std::uint16_t>(static_cast<std::uint16_t>(header.u8()) << 8);
-  if (version != kVersion) {
-    throw std::runtime_error(
-        "TelemetryArchiveReader: unsupported version in " + path);
-  }
-
   // Cumulative decoder state, mirroring the writer's dictionary.
-  struct DecodeEntry {
-    std::uint8_t kind = kKindCounter;
-    std::string name;
-    std::string labels;
-    std::vector<double> bounds;
-    std::uint64_t counter = 0;
-    std::uint64_t gauge_bits = 0;
-    std::vector<std::uint64_t> buckets;
-    std::uint64_t count = 0;
-    std::uint64_t sum_bits = 0;
-  };
-  std::vector<DecodeEntry> dict;
+  using DictEntry = TelemetryArchiveWriter::DictEntry;
+  std::vector<DictEntry> dict;
   std::map<std::string, std::string> help;
 
-  std::size_t pos = kHeaderBytes;
-  const auto drop_tail = [&](const char* reason) {
-    recovery_.clean = false;
-    recovery_.bytes_dropped = buffer.size() - pos;
-    recovery_.reason = reason;
-  };
-
-  const auto decode = [&](const char* payload, std::uint32_t length,
-                          TelemetrySample& sample, bool& keyframe) {
-    Cursor cursor{payload, length};
+  const auto decode = [&](std::string_view payload, std::uint64_t) -> const char* {
+    Cursor cursor{payload.data(), payload.size()};
     const std::uint8_t record_kind = cursor.u8();
     if (record_kind != kRecordKeyframe && record_kind != kRecordDelta) {
       throw std::runtime_error("unknown record kind");
     }
-    keyframe = record_kind == kRecordKeyframe;
+    const bool keyframe = record_kind == kRecordKeyframe;
+    if (samples_.empty() && !keyframe) return "first record is not a key-frame";
+    TelemetrySample sample;
     sample.t_ms = cursor.svarint();
 
     const std::uint64_t new_entries = cursor.varint();
     for (std::uint64_t i = 0; i < new_entries; ++i) {
-      DecodeEntry entry;
+      DictEntry entry;
       entry.kind = cursor.u8();
       if (entry.kind > kKindHistogram) {
         throw std::runtime_error("unknown metric kind");
@@ -551,7 +434,7 @@ TelemetryArchiveReader::TelemetryArchiveReader(const std::string& path) {
       help.erase(cursor.string());
     }
 
-    for (DecodeEntry& entry : dict) {
+    for (DictEntry& entry : dict) {
       switch (entry.kind) {
         case kKindCounter:
           entry.counter = keyframe
@@ -609,7 +492,7 @@ TelemetryArchiveReader::TelemetryArchiveReader(const std::string& path) {
     }
 
     // Materialize the snapshot in the registry's (name, labels) order.
-    for (const DecodeEntry& entry : dict) {
+    for (const DictEntry& entry : dict) {
       switch (entry.kind) {
         case kKindCounter:
           sample.metrics.counters.push_back(
@@ -645,45 +528,13 @@ TelemetryArchiveReader::TelemetryArchiveReader(const std::string& path) {
     std::sort(sample.metrics.histograms.begin(), sample.metrics.histograms.end(),
               by_name_labels);
     sample.metrics.help = help;
+    samples_.push_back(std::move(sample));
+    return nullptr;
   };
 
-  while (pos < buffer.size()) {
-    if (pos + kFrameBytes > buffer.size()) {
-      drop_tail("short frame header");
-      break;
-    }
-    Cursor frame{buffer.data() + pos, kFrameBytes};
-    const std::uint32_t length = frame.u32();
-    const std::uint32_t expected_crc = frame.u32();
-    if (length > kMaxRecordBytes) {
-      drop_tail("implausible record length");
-      break;
-    }
-    if (pos + kFrameBytes + length > buffer.size()) {
-      drop_tail("short record payload");
-      break;
-    }
-    const char* payload = buffer.data() + pos + kFrameBytes;
-    if (crc32(payload, length) != expected_crc) {
-      drop_tail("crc mismatch");
-      break;
-    }
-    TelemetrySample sample;
-    bool keyframe = false;
-    try {
-      decode(payload, length, sample, keyframe);
-    } catch (const std::exception&) {
-      drop_tail("undecodable record");
-      break;
-    }
-    if (samples_.empty() && !keyframe) {
-      drop_tail("first record is not a key-frame");
-      break;
-    }
-    samples_.push_back(std::move(sample));
-    pos += kFrameBytes + length;
-  }
-  indexed_bytes_ = pos;
+  FramedLog log = read_framed_log(path, kFormat, decode);
+  recovery_ = std::move(log.recovery);
+  indexed_bytes_ = log.indexed_bytes;
 }
 
 // --- Series ----------------------------------------------------------------
@@ -756,10 +607,9 @@ std::vector<std::string> telemetry_series_names(const MetricsSnapshot& snapshot)
 
 // --- Rollups ---------------------------------------------------------------
 
-TelemetryRollupFingerprint telemetry_fingerprint_of(
-    const TelemetryArchiveReader& reader) {
-  TelemetryRollupFingerprint fingerprint;
-  fingerprint.samples = reader.size();
+SidecarFingerprint fingerprint_of(const TelemetryArchiveReader& reader) {
+  SidecarFingerprint fingerprint;
+  fingerprint.records = reader.size();
   if (!reader.empty()) {
     fingerprint.first_ms = reader.samples().front().t_ms;
     fingerprint.last_ms = reader.samples().back().t_ms;
@@ -774,25 +624,18 @@ TelemetryRollupSidecar build_telemetry_rollups(
   // exact arithmetic the raw query path uses.
   std::map<std::string, std::map<std::int64_t, TelemetryRollupBucket>> acc;
   for (const TelemetrySample& sample : reader.samples()) {
-    const std::int64_t start = hour_start(sample.t_ms);
+    const std::int64_t start = bucket_floor(sample.t_ms, kHourMs);
     enumerate_series_values(
         sample.metrics, [&](std::string series, double value) {
           TelemetryRollupBucket& bucket = acc[std::move(series)][start];
-          if (bucket.samples == 0) {
-            bucket.start_ms = start;
-            bucket.min = bucket.max = bucket.sum = bucket.last = value;
-          } else {
-            bucket.min = std::min(bucket.min, value);
-            bucket.max = std::max(bucket.max, value);
-            bucket.sum += value;
-            bucket.last = value;
-          }
+          bucket.start_ms = start;
+          bucket.value.add(value, bucket.samples == 0);
           ++bucket.samples;
         });
   }
 
   TelemetryRollupSidecar sidecar;
-  sidecar.source = telemetry_fingerprint_of(reader);
+  sidecar.source = fingerprint_of(reader);
   sidecar.series.reserve(acc.size());
   for (auto& [series, buckets] : acc) {
     TelemetrySeriesRollup rollup;
@@ -805,80 +648,32 @@ TelemetryRollupSidecar build_telemetry_rollups(
 }
 
 std::string telemetry_rollup_path_for(const std::string& archive_path) {
-  const std::size_t slash = archive_path.find_last_of('/');
-  const std::size_t dot = archive_path.find_last_of('.');
-  if (dot == std::string::npos ||
-      (slash != std::string::npos && dot < slash)) {
-    return archive_path + ".mtrl";
-  }
-  return archive_path.substr(0, dot) + ".mtrl";
+  return sidecar_path_for(archive_path, kRollupFormat);
 }
 
 bool write_telemetry_rollup_sidecar(const std::string& path,
                                     const TelemetryRollupSidecar& sidecar) {
-  std::string payload;
-  put_varint(payload, sidecar.source.samples);
-  put_svarint(payload, sidecar.source.first_ms);
-  put_svarint(payload, sidecar.source.last_ms);
-  put_varint(payload, sidecar.source.indexed_bytes);
-  put_varint(payload, sidecar.series.size());
+  std::string body;
+  put_varint(body, sidecar.series.size());
   for (const TelemetrySeriesRollup& series : sidecar.series) {
-    put_string(payload, series.series);
-    put_varint(payload, series.hourly.size());
+    put_string(body, series.series);
+    put_varint(body, series.hourly.size());
     for (const TelemetryRollupBucket& bucket : series.hourly) {
-      put_svarint(payload, bucket.start_ms);
-      put_varint(payload, bucket.samples);
-      put_f64(payload, bucket.min);
-      put_f64(payload, bucket.max);
-      put_f64(payload, bucket.sum);
-      put_f64(payload, bucket.last);
+      put_svarint(body, bucket.start_ms);
+      put_varint(body, bucket.samples);
+      put_f64(body, bucket.value.min);
+      put_f64(body, bucket.value.max);
+      put_f64(body, bucket.value.sum);
+      put_f64(body, bucket.value.last);
     }
   }
-
-  std::string file;
-  file.reserve(kRollupHeaderBytes + 8 + payload.size());
-  put_u32(file, kRollupMagic);
-  put_u32(file, kRollupVersion);
-  put_u32(file, static_cast<std::uint32_t>(payload.size()));
-  put_u32(file, crc32(payload.data(), payload.size()));
-  file.append(payload);
-
-  std::FILE* out = std::fopen(path.c_str(), "wb");
-  if (out == nullptr) return false;
-  const bool ok = std::fwrite(file.data(), 1, file.size(), out) == file.size();
-  return std::fclose(out) == 0 && ok;
+  return write_sidecar(path, kRollupFormat, sidecar.source, body);
 }
 
 std::optional<TelemetryRollupSidecar> load_telemetry_rollup_sidecar(
     const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return std::nullopt;
-  std::string contents;
-  char chunk[65536];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof chunk, in)) > 0) {
-    contents.append(chunk, got);
-  }
-  std::fclose(in);
-
-  try {
-    Cursor cursor{contents.data(), contents.size()};
-    if (cursor.u32() != kRollupMagic) return std::nullopt;
-    if (cursor.u32() != kRollupVersion) return std::nullopt;
-    const std::uint32_t length = cursor.u32();
-    const std::uint32_t expected_crc = cursor.u32();
-    // One record, exactly: trailing bytes mean the file is not what this
-    // writer produces, so treat it as damage.
-    if (contents.size() != kRollupHeaderBytes + 8 + length) return std::nullopt;
-    const char* payload = contents.data() + kRollupHeaderBytes + 8;
-    if (crc32(payload, length) != expected_crc) return std::nullopt;
-
-    Cursor body{payload, length};
-    TelemetryRollupSidecar sidecar;
-    sidecar.source.samples = body.varint();
-    sidecar.source.first_ms = body.svarint();
-    sidecar.source.last_ms = body.svarint();
-    sidecar.source.indexed_bytes = body.varint();
+  TelemetryRollupSidecar sidecar;
+  const bool loaded = load_sidecar(path, kRollupFormat, sidecar.source, [&](Cursor& body) {
     const std::uint64_t series_count = body.varint();
     sidecar.series.reserve(series_count);
     for (std::uint64_t s = 0; s < series_count; ++s) {
@@ -890,19 +685,17 @@ std::optional<TelemetryRollupSidecar> load_telemetry_rollup_sidecar(
         TelemetryRollupBucket bucket;
         bucket.start_ms = body.svarint();
         bucket.samples = static_cast<std::uint32_t>(body.varint());
-        bucket.min = body.f64();
-        bucket.max = body.f64();
-        bucket.sum = body.f64();
-        bucket.last = body.f64();
+        bucket.value.min = body.f64();
+        bucket.value.max = body.f64();
+        bucket.value.sum = body.f64();
+        bucket.value.last = body.f64();
         series.hourly.push_back(bucket);
       }
       sidecar.series.push_back(std::move(series));
     }
-    if (body.pos != body.size) return std::nullopt;
-    return sidecar;
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  });
+  if (!loaded) return std::nullopt;
+  return sidecar;
 }
 
 TelemetryCompactionStats compact_telemetry_archive(
@@ -954,14 +747,9 @@ void TelemetryQueryEngine::add_archive(std::string name,
   auto source = std::make_unique<Source>();
   source->name = std::move(name);
   source->reader = std::make_unique<TelemetryArchiveReader>(path);
-  if (std::optional<TelemetryRollupSidecar> sidecar =
-          load_telemetry_rollup_sidecar(telemetry_rollup_path_for(path))) {
-    if (sidecar->source == telemetry_fingerprint_of(*source->reader)) {
-      source->rollups = std::move(sidecar);
-    } else {
-      ++rollups_rejected_;  // stale sidecar (e.g. re-compacted archive)
-    }
-  }
+  source->rollups =
+      keep_if_fresh(load_telemetry_rollup_sidecar(telemetry_rollup_path_for(path)),
+                    fingerprint_of(*source->reader), rollups_rejected_);
   sources_.push_back(std::move(source));
 }
 
@@ -974,52 +762,34 @@ std::vector<std::string> TelemetryQueryEngine::sources() const {
   return names;
 }
 
-const TelemetryArchiveReader* TelemetryQueryEngine::reader(
+const TelemetryQueryEngine::Source* TelemetryQueryEngine::find(
     const std::string& name) const {
   for (const std::unique_ptr<Source>& source : sources_) {
-    if (source->name == name) return source->reader.get();
+    if (source->name == name) return source.get();
   }
   return nullptr;
 }
 
+const TelemetryArchiveReader* TelemetryQueryEngine::reader(
+    const std::string& name) const {
+  const Source* source = find(name);
+  return source == nullptr ? nullptr : source->reader.get();
+}
+
 bool TelemetryQueryEngine::has_rollups(const std::string& name) const {
-  for (const std::unique_ptr<Source>& source : sources_) {
-    if (source->name == name) return source->rollups.has_value();
-  }
-  return false;
+  const Source* source = find(name);
+  return source != nullptr && source->rollups.has_value();
 }
 
 QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
-  const Source* source = nullptr;
-  for (const std::unique_ptr<Source>& candidate : sources_) {
-    if (candidate->name == query.source) {
-      source = candidate.get();
-      break;
-    }
-  }
+  const Source* source = find(query.source);
   if (source == nullptr) {
     throw std::invalid_argument("TelemetryQueryEngine: unknown source " +
                                 query.source);
   }
 
-  std::int64_t from_ms = query.from.total_ms();
-  std::int64_t to_ms = query.to.total_ms();
-  const bool bucketed = query.resolution != QueryResolution::raw;
-  const std::int64_t width =
-      query.resolution == QueryResolution::day ? kDayMs : kHourMs;
-  if (bucketed) {
-    // Snap outward to whole buckets, exactly as core/query does: every
-    // bucket intersecting [from, to] aggregates over ALL its samples, so the
-    // rollup-served and raw-scanned answers agree by construction.
-    const auto snap = [width](std::int64_t t) {
-      std::int64_t q = t / width;
-      if (t % width != 0 && t < 0) --q;
-      return q * width;
-    };
-    from_ms = snap(from_ms);
-    to_ms = snap(to_ms) + width - 1;
-  }
-  if (from_ms > to_ms) return {};
+  const QueryWindow window = query_window(query.from, query.to, query.resolution);
+  if (window.from_ms > window.to_ms) return {};
 
   // The sidecar holds hourly buckets only; day resolution (and unknown
   // series) falls back to the raw scan.
@@ -1035,15 +805,15 @@ QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
       QueryResult result;
       result.from_rollup = true;
       const auto first = std::lower_bound(
-          it->hourly.begin(), it->hourly.end(), from_ms,
+          it->hourly.begin(), it->hourly.end(), window.from_ms,
           [](const TelemetryRollupBucket& bucket, std::int64_t t) {
             return bucket.start_ms < t;
           });
       for (auto bucket = first;
-           bucket != it->hourly.end() && bucket->start_ms <= to_ms; ++bucket) {
+           bucket != it->hourly.end() && bucket->start_ms <= window.to_ms; ++bucket) {
         ++result.rollup_buckets;
         result.points.push_back({sim::TimePoint::from_ms(bucket->start_ms),
-                                 aggregate_bucket(query.aggregate, *bucket),
+                                 bucket->value.value(query.aggregate, bucket->samples),
                                  bucket->samples});
       }
       return result;
@@ -1054,45 +824,19 @@ QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
   QueryResult result;
   const std::vector<TelemetrySample>& samples = source->reader->samples();
   auto it = std::lower_bound(
-      samples.begin(), samples.end(), from_ms,
+      samples.begin(), samples.end(), window.from_ms,
       [](const TelemetrySample& sample, std::int64_t t) {
         return sample.t_ms < t;
       });
-
-  TelemetryRollupBucket acc;
-  const auto flush = [&] {
-    if (acc.samples == 0) return;
-    result.points.push_back({sim::TimePoint::from_ms(acc.start_ms),
-                             aggregate_bucket(query.aggregate, acc),
-                             acc.samples});
-    acc.samples = 0;
-  };
-
-  for (; it != samples.end() && it->t_ms <= to_ms; ++it) {
+  PointFolder points(window, query.aggregate, result.points);
+  for (; it != samples.end() && it->t_ms <= window.to_ms; ++it) {
     ++result.records_decoded;
-    const std::optional<double> value =
-        telemetry_series_value(it->metrics, query.series);
-    if (!value) continue;
-    if (!bucketed) {
-      result.points.push_back({sim::TimePoint::from_ms(it->t_ms), *value, 1});
-      continue;
+    if (const std::optional<double> value =
+            telemetry_series_value(it->metrics, query.series)) {
+      points.add(it->t_ms, *value);
     }
-    const std::int64_t start =
-        it->t_ms >= 0 ? it->t_ms / width * width
-                      : (it->t_ms - width + 1) / width * width;
-    if (acc.samples > 0 && start != acc.start_ms) flush();
-    if (acc.samples == 0) {
-      acc.start_ms = start;
-      acc.min = acc.max = acc.sum = acc.last = *value;
-    } else {
-      acc.min = std::min(acc.min, *value);
-      acc.max = std::max(acc.max, *value);
-      acc.sum += *value;
-      acc.last = *value;
-    }
-    ++acc.samples;
   }
-  flush();
+  points.finish();
   return result;
 }
 

@@ -10,12 +10,11 @@
 //
 //   * `.mtel` archive — one record per monitoring cycle holding a
 //     MetricsSnapshot of every registered metric plus the event-log tail
-//     since the previous sample. Same framing as `.marc` (core/archive):
-//     magic/version header, `length:u32 crc32:u32 payload` records,
+//     since the previous sample. The same core/framed log as `.marc`
+//     (header, CRC frames, torn-tail recovery) with its own record codec:
 //     key-frame/delta encoding (counters as varint deltas, doubles as
-//     XOR-of-IEEE-754-bits varints — lossless), torn-tail recovery via the
-//     framing. A metric dictionary grows append-only across the file so
-//     names/labels/bounds are written once.
+//     XOR-of-IEEE-754-bits varints — lossless). A metric dictionary grows
+//     append-only across the file so names/labels/bounds are written once.
 //   * TelemetryQueryEngine — the core/query pattern over `.mtel` files:
 //     {series, [from, to], resolution, aggregate} questions, per-hour
 //     rollup sidecars (`.mtrl`) built at compaction whose answers are
@@ -95,18 +94,13 @@ struct TelemetryArchiveOptions {
   bool fsync_on_keyframe = false;
 };
 
-/// Append-only `.mtel` writer. File layout mirrors `.marc`:
-///
-///   file   := header record*
-///   header := magic:u32 ("MTEL") version:u16 flags:u16
-///   record := length:u32 crc32:u32 payload[length]
-///
-/// The payload carries the sample time, the new-this-record dictionary
-/// entries (metric kind/name/labels/bounds — ids assigned in first-seen
-/// order, cumulative across the file), `# HELP` upserts/removals, one value
-/// per dictionary id (absolute on key-frames, delta otherwise; doubles
-/// delta as XOR of raw bits so every value round-trips exactly), and the
-/// sample's events.
+/// Append-only `.mtel` writer: a core/framed log with magic "MTEL", version
+/// 1, one frame per sample. The payload carries the sample time, the
+/// new-this-record dictionary entries (metric kind/name/labels/bounds — ids
+/// assigned in first-seen order, cumulative across the file), `# HELP`
+/// upserts/removals, one value per dictionary id (absolute on key-frames,
+/// delta otherwise; doubles delta as XOR of raw bits so every value
+/// round-trips exactly), and the sample's events.
 class TelemetryArchiveWriter {
  public:
   /// Creates/truncates `path`. Throws std::runtime_error if the file cannot
@@ -125,37 +119,27 @@ class TelemetryArchiveWriter {
   /// Flushes and closes; further appends throw. Idempotent.
   void close();
 
-  [[nodiscard]] std::size_t samples_written() const { return samples_written_; }
+  [[nodiscard]] std::size_t samples_written() const { return log_.frames_written(); }
   /// Total file bytes including the header — the fingerprint identity.
-  [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
-  [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
+  [[nodiscard]] const std::string& path() const { return log_.path(); }
   [[nodiscard]] const TelemetryArchiveOptions& options() const { return options_; }
 
  private:
-  struct DictEntry;  ///< per-metric previous values for delta encoding
+  struct DictEntry;  ///< per-metric state the next delta record is relative to
+  friend class TelemetryArchiveReader;  ///< decodes against the same DictEntry
 
-  std::string path_;
   TelemetryArchiveOptions options_;
-  std::FILE* file_ = nullptr;
-  std::size_t samples_written_ = 0;
-  std::uint64_t bytes_written_ = 0;
+  FramedLogWriter log_;
   std::vector<DictEntry> dict_;
   std::map<std::string, std::size_t> dict_index_;  ///< kind+name+labels -> id
   std::map<std::string, std::string> prev_help_;
 };
 
-/// What the reader found (and lost) while opening a `.mtel` file — same
-/// semantics as core/archive's RecoveryInfo: a torn or corrupt tail is
-/// truncated, never fatal, and every complete sample before it survives.
-struct TelemetryRecoveryInfo {
-  bool clean = true;
-  std::uint64_t bytes_dropped = 0;
-  std::string reason;  ///< empty when clean
-};
-
 /// Decodes an entire `.mtel` file at open (self-telemetry files are small —
 /// one record per cycle, delta-encoded); samples() hands back the lossless
-/// reconstruction in append order.
+/// reconstruction in append order. A torn or corrupt tail is truncated,
+/// never fatal, and every complete sample before it survives.
 class TelemetryArchiveReader {
  public:
   /// Throws std::runtime_error on a missing file or bad header; tail damage
@@ -169,12 +153,12 @@ class TelemetryArchiveReader {
   [[nodiscard]] bool empty() const { return samples_.empty(); }
   /// File bytes actually decoded (header included, dropped tail excluded).
   [[nodiscard]] std::uint64_t indexed_bytes() const { return indexed_bytes_; }
-  [[nodiscard]] const TelemetryRecoveryInfo& recovery() const { return recovery_; }
+  [[nodiscard]] const RecoveryInfo& recovery() const { return recovery_; }
 
  private:
   std::vector<TelemetrySample> samples_;
   std::uint64_t indexed_bytes_ = 0;
-  TelemetryRecoveryInfo recovery_;
+  RecoveryInfo recovery_;
 };
 
 // --- Series & rollups ------------------------------------------------------
@@ -202,10 +186,7 @@ class TelemetryArchiveReader {
 struct TelemetryRollupBucket {
   std::int64_t start_ms = 0;  ///< hour-aligned
   std::uint32_t samples = 0;
-  double min = 0.0;
-  double max = 0.0;
-  double sum = 0.0;
-  double last = 0.0;
+  MetricRollup value;
 
   friend bool operator==(const TelemetryRollupBucket&,
                          const TelemetryRollupBucket&) = default;
@@ -219,25 +200,15 @@ struct TelemetrySeriesRollup {
                          const TelemetrySeriesRollup&) = default;
 };
 
-/// Identity of the `.mtel` a sidecar was built from; mismatch = stale,
-/// ignored (the raw file stays the source of truth).
-struct TelemetryRollupFingerprint {
-  std::uint64_t samples = 0;
-  std::int64_t first_ms = 0;
-  std::int64_t last_ms = 0;
-  std::uint64_t indexed_bytes = 0;
-
-  friend bool operator==(const TelemetryRollupFingerprint&,
-                         const TelemetryRollupFingerprint&) = default;
-};
-
 struct TelemetryRollupSidecar {
-  TelemetryRollupFingerprint source;
+  /// The `.mtel` it summarizes (records = samples); mismatch = stale,
+  /// ignored (the raw file stays the source of truth).
+  SidecarFingerprint source;
   std::vector<TelemetrySeriesRollup> series;  ///< sorted by series key
 };
 
-[[nodiscard]] TelemetryRollupFingerprint telemetry_fingerprint_of(
-    const TelemetryArchiveReader& reader);
+/// The fingerprint an up-to-date `.mtrl` for `reader` must carry.
+[[nodiscard]] SidecarFingerprint fingerprint_of(const TelemetryArchiveReader& reader);
 
 /// Per-hour rollups of every series in one sequential pass, accumulated in
 /// sample order with the same double arithmetic the raw query path uses —
@@ -249,7 +220,8 @@ struct TelemetryRollupSidecar {
 [[nodiscard]] std::string telemetry_rollup_path_for(
     const std::string& archive_path);
 
-/// MTRL header + one CRC-framed payload. False on I/O failure, never throws.
+/// The core/framed sidecar envelope, magic "MTRL". False on I/O failure,
+/// never throws.
 bool write_telemetry_rollup_sidecar(const std::string& path,
                                     const TelemetryRollupSidecar& sidecar);
 
@@ -328,6 +300,8 @@ class TelemetryQueryEngine {
     std::unique_ptr<TelemetryArchiveReader> reader;
     std::optional<TelemetryRollupSidecar> rollups;
   };
+
+  [[nodiscard]] const Source* find(const std::string& name) const;
 
   std::vector<std::unique_ptr<Source>> sources_;
   std::size_t rollups_rejected_ = 0;

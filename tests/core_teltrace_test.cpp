@@ -289,7 +289,7 @@ TEST(TelemetryRollups, StaleSidecarIsRejectedAndRawScanServes) {
   }
   TelemetryArchiveReader reader(path);
   TelemetryRollupSidecar sidecar = build_telemetry_rollups(reader);
-  sidecar.source.samples += 1;  // no longer matches the `.mtel`
+  sidecar.source.records += 1;  // no longer matches the `.mtel`
   ASSERT_TRUE(
       write_telemetry_rollup_sidecar(telemetry_rollup_path_for(path), sidecar));
 

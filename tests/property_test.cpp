@@ -130,6 +130,12 @@ struct LoggerCase {
   int keyframe_every;
 };
 
+// Without a printer gtest names a case by its raw bytes, padding included,
+// and that padding differs from build to build.
+void PrintTo(const LoggerCase& c, std::ostream* os) {
+  *os << '{' << (c.store_deltas ? "true" : "false") << ", " << c.keyframe_every << '}';
+}
+
 class LoggerReconstruction : public ::testing::TestWithParam<LoggerCase> {};
 
 TEST_P(LoggerReconstruction, StableFieldsExactEverywhere) {
@@ -227,6 +233,11 @@ struct DeliveryCase {
   router::MfcMode plane;
   int members;
 };
+
+void PrintTo(const DeliveryCase& c, std::ostream* os) {
+  *os << '{' << (c.plane == router::MfcMode::kDense ? "dense" : "sparse") << ", "
+      << c.members << '}';
+}
 
 class DeliveryCompleteness : public ::testing::TestWithParam<DeliveryCase> {};
 
