@@ -1,6 +1,6 @@
 // Microbenchmarks of the monitoring pipeline itself (google-benchmark):
 // capture-text preprocessing, table parsing, delta computation, logging,
-// statistics, and the LPM trie — the per-cycle costs that bound how many
+// statistics, DVMRP route monitoring, and the LPM trie — the per-cycle costs that bound how many
 // routers one Mantra instance can poll at a given cycle length, and the
 // "text scraping vs structured access" cost DESIGN.md calls out.
 #include <benchmark/benchmark.h>
@@ -19,6 +19,8 @@ using namespace mantra;
 namespace {
 
 /// Synthesizes an IOS-style `show ip mroute count` capture with n pairs.
+/// Rows cycle through the groups, so (S,G) keys arrive out of order, as in
+/// IOS's group-major output.
 std::string synth_mroute_count(int pairs) {
   std::ostringstream out;
   out << "IP Multicast Statistics\n"
@@ -145,6 +147,36 @@ void BM_DeriveAndUsage(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_DeriveAndUsage)->Arg(500)->Arg(3000);
+
+void BM_RouteMonitorObserve(benchmark::State& state) {
+  // Two tables 1 % apart (every 200th prefix replaced, every 200th further
+  // one flipped into hold-down), observed alternately: each cycle merges a
+  // full table with 1 % churn.
+  const int n = static_cast<int>(state.range(0));
+  core::RouteTable tables[2];
+  for (int i = 0; i < n; ++i) {
+    core::RouteRow row;
+    row.prefix = net::Prefix(net::Ipv4Address(0x0A000000u + (static_cast<std::uint32_t>(i) << 8)), 24);
+    row.next_hop = net::Ipv4Address(0xC0A80002u + static_cast<std::uint32_t>(i % 14));
+    row.interface = "tunnel" + std::to_string(i % 14);
+    row.metric = i % 30 + 1;
+    tables[0].upsert(row);
+    if (i % 200 == 0) {
+      row.prefix = net::Prefix(net::Ipv4Address(0x0B000000u + (static_cast<std::uint32_t>(i) << 8)), 24);
+    } else if (i % 200 == 100) {
+      row.holddown = true;
+    }
+    tables[1].upsert(row);
+  }
+  core::RouteMonitor monitor;
+  std::int64_t cycle = 0;
+  for (auto _ : state) {
+    monitor.observe(sim::TimePoint::from_ms(cycle * 900'000), tables[cycle & 1]);
+    ++cycle;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
+}
+BENCHMARK(BM_RouteMonitorObserve)->Arg(1600);
 
 void BM_TrieLongestMatch(benchmark::State& state) {
   sim::Rng rng(11);

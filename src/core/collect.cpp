@@ -1,7 +1,10 @@
 #include "core/collect.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "router/cli.hpp"
 
@@ -82,12 +85,13 @@ const std::vector<std::string>& default_command_set() {
 
 namespace {
 
-bool is_noise_line(std::string_view line) {
-  if (line.find("User Access Verification") != std::string_view::npos) return true;
-  if (line.find("Password:") != std::string_view::npos) return true;
-  // Prompt / echo lines: first token is a hostname followed by '>'
-  // ("fixw> show ip mroute"). Be careful not to match data lines that
-  // merely contain '>' — MBGP best-path rows start with "*>".
+constexpr std::string_view kBanner = "User Access Verification";
+constexpr std::string_view kPassword = "Password:";
+
+/// Prompt / echo lines: the first token is a hostname followed by '>'
+/// ("fixw> show ip mroute"). Data lines that merely contain '>' are kept —
+/// MBGP best-path rows start with "*>".
+bool is_prompt_line(std::string_view line) {
   const auto first_non_space = line.find_first_not_of(' ');
   if (first_non_space == std::string_view::npos) return false;
   const auto token_end = line.find(' ', first_non_space);
@@ -105,6 +109,89 @@ bool is_noise_line(std::string_view line) {
   return true;
 }
 
+/// Strips CRs and trailing whitespace.
+std::string_view strip_trailing(std::string_view line) {
+  while (!line.empty() &&
+         (line.back() == '\r' || line.back() == ' ' || line.back() == '\t')) {
+    line.remove_suffix(1);
+  }
+  return line;
+}
+
+/// The first '>' at or after `from` on a prompt line, or npos. Data lines
+/// holding a '>' are passed over.
+std::size_t find_prompt(std::string_view raw, std::size_t from) {
+  for (std::size_t hit = raw.find('>', from); hit != std::string_view::npos;
+       hit = raw.find('>', hit + 1)) {
+    const std::size_t newline = raw.rfind('\n', hit);
+    const std::size_t begin = newline == std::string_view::npos ? 0 : newline + 1;
+    const std::size_t end = std::min(raw.find('\n', hit), raw.size());
+    if (is_prompt_line(strip_trailing(raw.substr(begin, end - begin)))) return hit;
+    hit = end;  // the rest of this line cannot make it a prompt
+  }
+  return std::string_view::npos;
+}
+
+/// Flags (the high bit of a byte) each byte of the eight at `at` that is a
+/// '\n' following a byte below '!' (a blank, CR, '\n' or other control
+/// byte). Reads at[-1]. The two borrow tests may flag a few extra bytes
+/// but never miss one.
+std::uint64_t suspect_bits(const char* at) {
+  constexpr std::uint64_t kOnes = 0x0101010101010101ull;
+  std::uint64_t word = 0;
+  std::uint64_t before = 0;
+  std::memcpy(&word, at, 8);
+  std::memcpy(&before, at - 1, 8);
+  const std::uint64_t x = word ^ (kOnes * '\n');
+  return (x - kOnes) & ~x & (before - kOnes * '!') & ~before & (kOnes * 0x80);
+}
+
+/// At or after `from`, the first position where a line may need more than
+/// a verbatim copy: a '\n' following a blank, CR or control byte, or
+/// starting the buffer (a line ending anywhere else is non-empty and has
+/// nothing to strip). May stop early at a byte that is none of these, which
+/// only sends a line through the line rule; never stops late. Sixteen bytes
+/// per step; npos when there is none.
+std::size_t find_suspect_newline(std::string_view raw, std::size_t from) {
+  if (from == 0) {
+    if (!raw.empty() && raw.front() == '\n') return 0;
+    from = 1;
+  }
+  const auto first = [](std::uint64_t bits) {
+    const int bit = std::endian::native == std::endian::little ? std::countr_zero(bits)
+                                                                : std::countl_zero(bits);
+    return static_cast<std::size_t>(bit / 8);
+  };
+  std::size_t i = from;
+  for (; i + 16 <= raw.size(); i += 16) {
+    const std::uint64_t low = suspect_bits(raw.data() + i);
+    const std::uint64_t high = suspect_bits(raw.data() + i + 8);
+    if ((low | high) != 0) return i + (low != 0 ? first(low) : 8 + first(high));
+  }
+  for (; i < raw.size(); ++i) {
+    if (raw[i] == '\n' && static_cast<unsigned char>(raw[i - 1]) < '!') return i;
+  }
+  return std::string_view::npos;
+}
+
+/// One search over a buffer, walked forward: `from(pos)` is the first hit
+/// at or after `pos`, searched for again only once the walk has passed the
+/// last one, so the search covers the buffer once rather than once per line.
+template <typename Find>
+class NextHit {
+ public:
+  NextHit(std::string_view raw, Find find) : raw_(raw), find_(find), hit_(find(raw, 0)) {}
+  std::size_t from(std::size_t pos) {
+    if (hit_ < pos) hit_ = find_(raw_, pos);
+    return hit_;
+  }
+
+ private:
+  std::string_view raw_;
+  Find find_;
+  std::size_t hit_;
+};
+
 }  // namespace
 
 std::string preprocess(std::string_view raw) {
@@ -116,26 +203,51 @@ std::string preprocess(std::string_view raw) {
 void preprocess_into(std::string_view raw, std::string& out) {
   out.clear();
   out.reserve(raw.size());
-  std::size_t start = 0;
+  // Where a line may need the line rule below rather than a verbatim copy.
+  // No marker contains '\n' or ends in whitespace, so a hit inside a raw
+  // line is a hit inside the stripped line.
+  NextHit banner(raw, [](std::string_view r, std::size_t p) { return r.find(kBanner, p); });
+  NextHit password(raw, [](std::string_view r, std::size_t p) { return r.find(kPassword, p); });
+  NextHit prompt(raw, find_prompt);
+  NextHit suspect(raw, find_suspect_newline);
   bool last_blank = true;  // swallow leading blank lines
-  while (start <= raw.size()) {
-    std::size_t end = raw.find('\n', start);
-    if (end == std::string_view::npos) end = raw.size();
-    std::string_view line = raw.substr(start, end - start);
-    start = end + 1;
 
-    // Strip CRs and trailing whitespace.
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ' ||
-                             line.back() == '\t')) {
-      line.remove_suffix(1);
-    }
-    if (is_noise_line(line)) continue;
-    const bool blank = line.empty();
-    if (blank && last_blank) continue;
-    out.append(line);
+  // The line rule for [begin, end), `end` at a '\n' or at the buffer end:
+  // drop noise lines and repeated blank lines, strip the rest.
+  const auto line = [&](std::size_t begin, std::size_t end) {
+    const std::string_view text = strip_trailing(raw.substr(begin, end - begin));
+    const bool noise = banner.from(begin) < end || password.from(begin) < end ||
+                       prompt.from(begin) < end;
+    const bool blank = text.empty();
+    if (noise || (blank && last_blank)) return;
+    out.append(text);
     out.push_back('\n');
     last_blank = blank;
-    if (end == raw.size()) break;
+  };
+
+  std::size_t pos = 0;  // start of the next line
+  while (true) {
+    // Every line before the one holding the next hit is non-blank, has
+    // nothing to strip and is not noise, so the rule keeps it byte for
+    // byte: copy the whole run with one append.
+    const std::size_t stop = std::min({suspect.from(pos), banner.from(pos),
+                                       password.from(pos), prompt.from(pos), raw.size()});
+    std::size_t begin = pos;
+    if (stop > pos) {
+      const std::size_t run_end = raw.rfind('\n', stop - 1);
+      if (run_end != std::string_view::npos && run_end >= pos) {
+        out.append(raw.substr(pos, run_end + 1 - pos));
+        last_blank = false;
+        begin = run_end + 1;
+      }
+    }
+    const std::size_t end = raw.find('\n', stop);
+    if (end == std::string_view::npos) {
+      line(begin, raw.size());
+      break;
+    }
+    line(begin, end);
+    pos = end + 1;
   }
   // Drop a trailing blank line.
   while (out.size() >= 2 && out[out.size() - 1] == '\n' && out[out.size() - 2] == '\n') {

@@ -13,8 +13,15 @@
 // (pass nullptr to discard them). The return value is the number of rows in
 // the table afterwards. `text` is never copied; rows reference only their
 // own owned fields, so the input buffer may be reused or freed immediately
-// after the call. A warmed-up caller that reuses one table and one warnings
-// vector per command performs no per-cycle allocation in the parser.
+// after the call. Rows may arrive in any order (IOS prints `show ip mroute
+// count` group-major); when a key repeats, the last row wins. A warmed-up
+// caller that reuses one table and one warnings vector per command performs
+// no per-cycle allocation in the parser when rows arrive in key order, as
+// the simulated CLI prints them; other orders cost one sort.
+//
+// Each line is first read by a scanner for the command's canonical line
+// grammar; a line it does not accept goes to the tolerant handling, which
+// decides rows and warnings exactly as before the scanners existed.
 #pragma once
 
 #include <optional>

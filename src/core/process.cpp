@@ -97,31 +97,42 @@ DensityDistribution compute_density_distribution(const SessionTable& sessions) {
 }
 
 void RouteMonitor::observe(sim::TimePoint t, const RouteTable& routes) {
+  // One merge over the previous and current tables (both key-ordered):
+  // counts upserts and removals exactly as RouteTable::diff would, carries
+  // first-seen times forward aligned with the new table, and completes the
+  // lifetimes of removed routes in key order.
   CycleStats stats;
   stats.t = t;
   stats.total = routes.size();
-  routes.visit([&](const RouteRow& route) {
+  next_first_seen_.clear();
+  auto prev = previous_.begin();
+  auto seen = first_seen_.begin();
+  for (const RouteRow& route : routes) {
     if (!route.holddown) ++stats.valid;
-    if (first_seen_.find(route.prefix) == first_seen_.end()) {
-      first_seen_[route.prefix] = t;
+    while (prev != previous_.end() && prev->prefix < route.prefix) {
+      completed_lifetimes_s_.push_back((t - *seen).total_seconds());
+      ++stats.changes;
+      ++prev;
+      ++seen;
     }
-  });
-
-  if (have_previous_) {
-    const RouteTable::Delta delta = RouteTable::diff(previous_, routes);
-    stats.changes = delta.change_count();
-    total_changes_ += stats.changes;
-    for (const net::Prefix& removed : delta.removals) {
-      const auto it = first_seen_.find(removed);
-      if (it != first_seen_.end()) {
-        completed_lifetimes_s_.push_back((t - it->second).total_seconds());
-        first_seen_.erase(it);
-      }
+    if (prev != previous_.end() && prev->prefix == route.prefix) {
+      next_first_seen_.push_back(*seen);
+      if (!RouteRow::delta_equal(*prev, route)) ++stats.changes;
+      ++prev;
+      ++seen;
+    } else {
+      next_first_seen_.push_back(t);
+      if (have_previous_) ++stats.changes;
     }
   }
-
+  for (; prev != previous_.end(); ++prev, ++seen) {
+    completed_lifetimes_s_.push_back((t - *seen).total_seconds());
+    ++stats.changes;
+  }
+  total_changes_ += stats.changes;
   history_.push_back(stats);
   previous_ = routes;
+  first_seen_.swap(next_first_seen_);
   have_previous_ = true;
 }
 

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -107,12 +106,18 @@ class RouteMonitor {
   [[nodiscard]] std::size_t completed_route_count() const {
     return completed_lifetimes_s_.size();
   }
+  /// Lifetimes of removed routes, seconds: per cycle in prefix order.
+  [[nodiscard]] const std::vector<double>& completed_lifetimes_s() const {
+    return completed_lifetimes_s_;
+  }
 
  private:
   std::vector<CycleStats> history_;
   RouteTable previous_;
   bool have_previous_ = false;
-  std::map<net::Prefix, sim::TimePoint> first_seen_;
+  /// First-seen time of each route in `previous_`, index-aligned with it.
+  std::vector<sim::TimePoint> first_seen_;
+  std::vector<sim::TimePoint> next_first_seen_;  ///< reused merge output
   std::vector<double> completed_lifetimes_s_;
   std::uint64_t total_changes_ = 0;
 };

@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/ipv4.hpp"
@@ -31,10 +33,11 @@ namespace mantra::core {
 /// hot-path overhaul). Iteration order is therefore still key order —
 /// every serialization, diff and derivation that walked the map sees the
 /// same sequence — but a table rebuild is now an append loop into reused
-/// capacity instead of a node allocation per row: parsers emit rows in key
-/// order (the CLI renders tables sorted), so `upsert` almost always takes
-/// the O(1) append path, and `clear()` keeps the vector's capacity for the
-/// next cycle.
+/// capacity instead of a node allocation per row, and `clear()` keeps the
+/// vector's capacity for the next cycle. Parsers load rows in arrival order
+/// with `append()` and restore key order once with `finish_append()`, so a
+/// capture in any row order costs one pass plus, when it was out of order,
+/// one sort.
 template <typename Row>
 class Table {
  public:
@@ -42,7 +45,7 @@ class Table {
   using const_iterator = typename std::vector<Row>::const_iterator;
 
   /// Inserts or replaces by key. O(1) when rows arrive in ascending key
-  /// order (the parser/decoder case); O(n) insertion otherwise.
+  /// order (the decoder case); O(n) insertion otherwise.
   void upsert(Row row) {
     if (rows_.empty() || rows_.back().key() < row.key()) {
       rows_.push_back(std::move(row));
@@ -54,6 +57,33 @@ class Table {
     } else {
       rows_.insert(it, std::move(row));
     }
+  }
+
+  /// Bulk load: appends a row built from `args` (none: a default row) in
+  /// arrival order, without keeping key order, and returns it; the
+  /// reference stays valid until the next append. The table may be read
+  /// again only after `finish_append()`.
+  template <typename... Args>
+  Row& append(Args&&... args) {
+    return rows_.emplace_back(std::forward<Args>(args)...);
+  }
+
+  /// Ends a run of `append()` calls. When any row arrived out of key order,
+  /// sorts once (stably) and keeps the last row of each key: the table the
+  /// same rows build through `upsert()`, in O(n log n) instead of O(n^2).
+  void finish_append() {
+    const auto key_less = [](const Row& a, const Row& b) { return a.key() < b.key(); };
+    const auto not_ascending = [&](const Row& a, const Row& b) { return !key_less(a, b); };
+    if (std::adjacent_find(rows_.begin(), rows_.end(), not_ascending) == rows_.end()) return;
+    std::stable_sort(rows_.begin(), rows_.end(), key_less);
+    auto out = rows_.begin();
+    for (auto it = rows_.begin(); it != rows_.end(); ++it) {
+      const auto next = std::next(it);
+      if (next != rows_.end() && !key_less(*it, *next)) continue;  // a later row wins
+      if (out != it) *out = std::move(*it);
+      ++out;
+    }
+    rows_.erase(out, rows_.end());
   }
 
   bool erase(const Key& key) {

@@ -1,28 +1,33 @@
 #include "net/ipv4.hpp"
 
-#include <array>
 #include <charconv>
 
 namespace mantra::net {
 
 std::optional<Ipv4Address> Ipv4Address::parse(std::string_view text) {
-  std::array<std::uint32_t, 4> octets{};
+  // Accepts exactly what four from_chars<uint32_t> octets did: one or more
+  // decimal digits per octet (leading zeros allowed), value <= 255, '.'
+  // between octets and nothing after the last.
   const char* cursor = text.data();
-  const char* end = text.data() + text.size();
+  const char* const end = cursor + text.size();
+  std::uint32_t value = 0;
   for (int i = 0; i < 4; ++i) {
     if (i > 0) {
       if (cursor == end || *cursor != '.') return std::nullopt;
       ++cursor;
     }
-    auto [next, ec] = std::from_chars(cursor, end, octets[i]);
-    if (ec != std::errc{} || next == cursor || octets[i] > 255) return std::nullopt;
-    cursor = next;
+    const char* const digits = cursor;
+    std::uint32_t octet = 0;
+    while (cursor != end && *cursor >= '0' && *cursor <= '9') {
+      octet = octet * 10 + static_cast<std::uint32_t>(*cursor - '0');
+      if (octet > 255) return std::nullopt;
+      ++cursor;
+    }
+    if (cursor == digits) return std::nullopt;
+    value = (value << 8) | octet;
   }
   if (cursor != end) return std::nullopt;
-  return Ipv4Address(static_cast<std::uint8_t>(octets[0]),
-                     static_cast<std::uint8_t>(octets[1]),
-                     static_cast<std::uint8_t>(octets[2]),
-                     static_cast<std::uint8_t>(octets[3]));
+  return Ipv4Address(value);
 }
 
 std::string Ipv4Address::to_string() const {

@@ -6,21 +6,22 @@ namespace mantra::net {
 
 std::optional<Prefix> Prefix::parse(std::string_view text) {
   const auto slash = text.find('/');
-  if (slash == std::string_view::npos) {
-    auto addr = Ipv4Address::parse(text);
-    if (!addr) return std::nullopt;
-    return Prefix(*addr, 32);
-  }
-  auto addr = Ipv4Address::parse(text.substr(0, slash));
+  const auto addr = Ipv4Address::parse(text.substr(0, slash));
   if (!addr) return std::nullopt;
-  const std::string_view len_text = text.substr(slash + 1);
+  if (slash == std::string_view::npos) return Prefix(*addr, 32);
+  // The length takes what from_chars<int> took: an optional '-' (so "-0"
+  // reads as 0) and one or more digits, in [0, 32], nothing after.
+  std::string_view len_text = text.substr(slash + 1);
+  const bool negative = !len_text.empty() && len_text.front() == '-';
+  if (negative) len_text.remove_prefix(1);
+  if (len_text.empty()) return std::nullopt;
   int length = 0;
-  auto [next, ec] =
-      std::from_chars(len_text.data(), len_text.data() + len_text.size(), length);
-  if (ec != std::errc{} || next != len_text.data() + len_text.size() ||
-      length < 0 || length > 32) {
-    return std::nullopt;
+  for (const char c : len_text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    length = length * 10 + (c - '0');
+    if (length > 32) return std::nullopt;
   }
+  if (negative && length != 0) return std::nullopt;
   return Prefix(*addr, length);
 }
 

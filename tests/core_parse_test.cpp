@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "core/collect.hpp"
 #include "core/parse.hpp"
 #include "router/cli.hpp"
@@ -95,6 +98,13 @@ TEST(ParseUptime, Forms) {
   EXPECT_EQ(parse_uptime(" 00:00:09 "), sim::Duration::seconds(9));
   EXPECT_FALSE(parse_uptime("bogus").has_value());
   EXPECT_FALSE(parse_uptime("1:2").has_value());
+  // Day or hour counts whose milliseconds overflow int64_t are rejected.
+  EXPECT_FALSE(parse_uptime("99999999999999d01h").has_value());
+  EXPECT_FALSE(parse_uptime("18446744073709551615d00h").has_value());
+  EXPECT_FALSE(parse_uptime("0d2562047788016h").has_value());
+  EXPECT_FALSE(parse_uptime("106751991167d08h").has_value());
+  EXPECT_EQ(parse_uptime("106751991167d07h"),
+            sim::Duration::days(106751991167) + sim::Duration::hours(7));
 }
 
 // --- parsers on hand-written text ------------------------------------------------
@@ -189,6 +199,87 @@ TEST(ParseMbgp, ExtractsBestPaths) {
   const MbgpRow* row = outcome.table.find(*net::Prefix::parse("10.4.0.0/16"));
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->as_path, "3000 104");
+}
+
+// --- Row order ---------------------------------------------------------------------
+
+/// `show ip mroute count` body for sources x groups, either group-major (IOS
+/// order: one "Group:" header, then its sources) or in (S,G) key order.
+std::string mroute_count_text(int sources, int groups, bool group_major) {
+  std::string out = "IP Multicast Statistics\n";
+  const auto row = [&](int s, int g, bool header) {
+    const std::string group = "224.2." + std::to_string(g) + ".1";
+    if (header) out += "Group: " + group + "\n";
+    const std::string n = std::to_string(s * 100 + g);
+    out += "  Source: 10.0." + std::to_string(s) + ".9/32, Forwarding: " + n +
+           "/1/512/" + n + ".50, Other: " + n + "/0/0\n    Average: " + n +
+           ".25 kbps, Uptime: 00:0" + std::to_string(g % 10) + ":00\n";
+  };
+  if (group_major) {
+    for (int g = 0; g < groups; ++g) {
+      for (int s = sources - 1; s >= 0; --s) row(s, g, s == sources - 1);
+    }
+  } else {
+    for (int s = 0; s < sources; ++s) {
+      for (int g = 0; g < groups; ++g) row(s, g, true);
+    }
+  }
+  return out;
+}
+
+TEST(ParseOrder, GroupMajorMrouteCountEqualsKeyOrdered) {
+  const auto group_major = parsed_mroute_count(mroute_count_text(7, 5, true));
+  const auto key_ordered = parsed_mroute_count(mroute_count_text(7, 5, false));
+  EXPECT_TRUE(group_major.warnings.empty());
+  EXPECT_TRUE(key_ordered.warnings.empty());
+  ASSERT_EQ(key_ordered.table.size(), 35u);
+  EXPECT_TRUE(group_major.table == key_ordered.table);
+  const PairRow* row = group_major.table.find(
+      {net::Ipv4Address(10, 0, 3, 9), net::Ipv4Address(224, 2, 4, 1)});
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->packets, 304u);
+  EXPECT_EQ(row->uptime, sim::Duration::minutes(4));
+}
+
+TEST(ParseOrder, ShuffledDvmrpCaptureEqualsKeyOrdered) {
+  std::vector<std::string> blocks;
+  for (int i = 0; i < 60; ++i) {
+    blocks.push_back("10." + std::to_string(i / 7) + "." + std::to_string(i * 3 % 256) +
+                     ".0/24 [0/" + std::to_string(i % 30 + 1) + "] uptime 01:0" +
+                     std::to_string(i % 10) + ":00, expires " +
+                     (i % 11 == 0 ? "holddown" : "00:02:10") + "\n    via 192.168." +
+                     std::to_string(i % 5) + ".2, tunnel" + std::to_string(i % 5) + "\n");
+  }
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string text = "DVMRP Routing Table - 60 entries\n";
+    for (const std::string& part : parts) text += part;
+    return text;
+  };
+  const auto key_ordered = parsed_dvmrp_route(join(blocks));
+  std::vector<std::string> shuffled = blocks;
+  std::shuffle(shuffled.begin(), shuffled.end(), std::mt19937(20));
+  ASSERT_NE(shuffled, blocks);
+  const auto reordered = parsed_dvmrp_route(join(shuffled));
+  EXPECT_TRUE(key_ordered.warnings.empty());
+  EXPECT_TRUE(reordered.warnings.empty());
+  ASSERT_EQ(key_ordered.table.size(), 60u);
+  EXPECT_TRUE(reordered.table == key_ordered.table);
+}
+
+TEST(ParseOrder, RepeatedKeyKeepsTheLastRow) {
+  // What Table::upsert did row by row: a later row for the same key wins,
+  // wherever the rows sit.
+  const auto outcome = parsed_dvmrp_route(
+      "10.2.0.0/16 [0/5] uptime 00:01:00, expires 00:02:00\n    via 192.168.1.2, tunnel1\n"
+      "10.1.0.0/16 [0/3] uptime 00:01:00, expires 00:02:00\n    via 192.168.1.2, tunnel1\n"
+      "10.2.0.0/16 [0/7] uptime 00:09:00, expires holddown\n    via 192.168.9.2, tunnel9\n");
+  ASSERT_EQ(outcome.table.size(), 2u);
+  const RouteRow* row = outcome.table.find(*net::Prefix::parse("10.2.0.0/16"));
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->metric, 7);
+  EXPECT_EQ(row->interface, "tunnel9");
+  EXPECT_TRUE(row->holddown);
+  EXPECT_EQ(outcome.table.begin()->prefix, *net::Prefix::parse("10.1.0.0/16"));
 }
 
 // --- Round trip: router CLI -> collector -> parser ------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 #include "core/process.hpp"
@@ -139,6 +140,100 @@ TEST(RouteMonitor, ValidCountExcludesHolddown) {
   monitor.observe(sim::TimePoint::start(), table);
   EXPECT_EQ(monitor.history()[0].total, 2u);
   EXPECT_EQ(monitor.history()[0].valid, 1u);
+}
+
+/// RouteMonitor::observe as it was before the merge walk: a per-prefix
+/// first-seen map and a RouteTable::diff. The equivalence test below holds
+/// the production monitor to it.
+class MapRouteMonitor {
+ public:
+  void observe(sim::TimePoint t, const RouteTable& routes) {
+    RouteMonitor::CycleStats stats;
+    stats.t = t;
+    stats.total = routes.size();
+    routes.visit([&](const RouteRow& route) {
+      if (!route.holddown) ++stats.valid;
+      if (first_seen_.find(route.prefix) == first_seen_.end()) {
+        first_seen_[route.prefix] = t;
+      }
+    });
+    if (have_previous_) {
+      const RouteTable::Delta delta = RouteTable::diff(previous_, routes);
+      stats.changes = delta.change_count();
+      total_changes_ += stats.changes;
+      for (const net::Prefix& removed : delta.removals) {
+        const auto it = first_seen_.find(removed);
+        if (it != first_seen_.end()) {
+          completed_lifetimes_s_.push_back((t - it->second).total_seconds());
+          first_seen_.erase(it);
+        }
+      }
+    }
+    history_.push_back(stats);
+    previous_ = routes;
+    have_previous_ = true;
+  }
+
+  std::vector<RouteMonitor::CycleStats> history_;
+  RouteTable previous_;
+  bool have_previous_ = false;
+  std::map<net::Prefix, sim::TimePoint> first_seen_;
+  std::vector<double> completed_lifetimes_s_;
+  std::uint64_t total_changes_ = 0;
+};
+
+TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
+  // Seeded churn over a 400-prefix universe: adds, removals, prefixes that
+  // come back, hold-down flips and metric changes, identical repeats (a
+  // stale table carried forward) and an empty table.
+  std::mt19937 rng(0x524d4f4eu);
+  std::map<std::uint32_t, RouteRow> live;
+  for (std::uint32_t i = 0; i < 400; i += 2) live[i] = route(i);
+  RouteMonitor monitor;
+  MapRouteMonitor reference;
+  RouteTable table;
+  for (int step = 0; step < 80; ++step) {
+    if (step == 40) {
+      live.clear();
+    } else if (step % 10 != 7) {  // every tenth step repeats the last table
+      for (int k = 0; k < 12; ++k) {
+        const std::uint32_t i = rng() % 400;
+        const auto it = live.find(i);
+        switch (rng() % 4) {
+          case 0:
+            if (it != live.end()) live.erase(it);
+            break;
+          case 1:
+            live[i] = route(i);
+            break;
+          case 2:
+            if (it != live.end()) it->second.holddown = !it->second.holddown;
+            break;
+          default:
+            if (it != live.end()) it->second.metric = 1 + static_cast<int>(rng() % 32);
+            break;
+        }
+      }
+    }
+    table.clear();
+    for (const auto& [index, row] : live) table.upsert(row);
+    const sim::TimePoint t = sim::TimePoint::start() + sim::Duration::minutes(15) * std::int64_t{step};
+    monitor.observe(t, table);
+    reference.observe(t, table);
+
+    ASSERT_EQ(monitor.history().size(), reference.history_.size());
+    const RouteMonitor::CycleStats& got = monitor.history().back();
+    const RouteMonitor::CycleStats& want = reference.history_.back();
+    EXPECT_EQ(got.t, want.t) << "step " << step;
+    EXPECT_EQ(got.total, want.total) << "step " << step;
+    EXPECT_EQ(got.valid, want.valid) << "step " << step;
+    EXPECT_EQ(got.changes, want.changes) << "step " << step;
+    EXPECT_EQ(monitor.total_changes(), reference.total_changes_) << "step " << step;
+    ASSERT_EQ(monitor.completed_lifetimes_s(), reference.completed_lifetimes_s_)
+        << "step " << step;
+  }
+  EXPECT_GT(monitor.completed_route_count(), 200u);
+  EXPECT_EQ(monitor.history()[40].total, 0u);
 }
 
 TEST(CompareRouteTables, ConsistencyStats) {

@@ -31,6 +31,7 @@
 #include "core/archive.hpp"
 #include "core/query.hpp"
 #include "core/teltrace.hpp"
+#include "fuzz_mutate.hpp"
 
 #ifndef MANTRA_GOLDEN_DIR
 #error "MANTRA_GOLDEN_DIR must name tests/golden"
@@ -40,6 +41,7 @@ namespace mantra::core {
 namespace {
 
 namespace fs = std::filesystem;
+using mantra::fuzz::mutate;
 
 constexpr auto kCycle = sim::Duration::minutes(15);
 
@@ -485,27 +487,6 @@ TEST(FormatGolden, DamagedGoldenSidecarsLoadAsAbsent) {
 }
 
 // --- Seeded mutations ----------------------------------------------------------
-
-/// One to three seeded edits (flip, insert, erase, truncate, splice in a copy
-/// of another range) and the offset of the first byte they may have changed.
-std::pair<std::string, std::size_t> mutate(const std::string& bytes, std::mt19937& rng) {
-  std::string out = bytes;
-  std::size_t first = out.size();
-  const int edits = 1 + static_cast<int>(rng() % 3);
-  for (int e = 0; e < edits && !out.empty(); ++e) {
-    const std::size_t at = rng() % out.size();
-    const std::size_t len = 1 + rng() % 64;
-    switch (rng() % 5) {
-      case 0: out[at] = static_cast<char>(out[at] ^ static_cast<char>(1 + rng() % 255)); break;
-      case 1: out.insert(at, 1, static_cast<char>(rng())); break;
-      case 2: out.erase(at, len); break;
-      case 3: out.resize(at); break;
-      default: out.insert(at, out.substr(rng() % out.size(), len)); break;
-    }
-    first = std::min(first, at);
-  }
-  return {out, first};
-}
 
 /// Seeded random damage to a golden log: opening it throws only when the
 /// header itself was hit, every record wholly in front of the first edit is
