@@ -1,5 +1,5 @@
 // Byte-codec primitives shared by every on-disk format: the core/framed
-// container and the `.marc`, `.mtel`, `.mroll` and `.mtrl` payload codecs.
+// container and the `.marc`, `.mtel` and `.mroll` payload codecs.
 // Little-endian fixed-width integers, LEB128 varints (signed values
 // zigzag-encoded), doubles as raw IEEE-754 bits, length-prefixed strings —
 // plus the bounds-checked decode Cursor whose overrun throws are how the

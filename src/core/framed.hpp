@@ -6,8 +6,8 @@
 //   header  := magic:u32 version:u16 flags:u16
 //   frame   := length:u32 crc32:u32 payload[length]
 //
-// and the `.mroll` (core/query) and `.mtrl` (core/teltrace) rollup sidecars
-// are the same envelope with different bucket codecs:
+// and the `.mroll` rollup sidecar (core/query) is one envelope around its
+// bucket codec:
 //
 //   sidecar := magic:u32 version:u32 length:u32 crc32:u32 payload[length]
 //   payload := fingerprint body
@@ -16,7 +16,7 @@
 // framing, CRC, fsync, torn-tail recovery, the sidecar envelope, and the
 // fingerprint that ties a sidecar to the exact log bytes it summarizes — so
 // the format modules own only their payload codecs, and there is one reader
-// to harden against damaged input rather than four.
+// to harden against damaged input rather than three.
 //
 // Crash safety: a frame is visible only once its length/CRC header and
 // payload are complete, so a mid-write kill (or a file truncated at any byte)

@@ -97,9 +97,9 @@ inline constexpr std::int64_t kDayMs = 86'400'000;
 
 // --- Rollup sidecar --------------------------------------------------------
 
-/// One value's aggregate over one bucket, shared by the `.mroll` and `.mtrl`
-/// rollups and by the raw scans that must reproduce them bit for bit. The
-/// value count lives on the bucket.
+/// One value's aggregate over one bucket, shared by the `.mroll` rollups and
+/// by the raw scans (`.marc` and `.mtel`) that must reproduce them bit for
+/// bit. The value count lives on the bucket.
 struct MetricRollup {
   double min = 0.0;
   double max = 0.0;

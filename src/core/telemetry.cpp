@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <type_traits>
 
 namespace mantra::core {
 
@@ -704,6 +705,60 @@ std::string MetricsRegistry::json_dump() const {
   return out;
 }
 
+// --- Spans -------------------------------------------------------------------
+
+template <typename Sink>
+SpanScope<Sink>::SpanScope(Sink* sink, const Tracer& clock, std::string_view name,
+                           std::string_view category, sim::TimePoint sim_now)
+    : sink_(sink) {
+  if (sink_ == nullptr) return;
+  wall_start_ = std::chrono::steady_clock::now();
+  span_.name = std::string(name);
+  span_.category = std::string(category);
+  span_.sim_ts_ms = sim_now.total_ms();
+  span_.wall_ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                         wall_start_ - clock.epoch_)
+                         .count();
+}
+
+template <typename Sink>
+SpanScope<Sink>::SpanScope(SpanScope&& other) noexcept
+    : sink_(std::exchange(other.sink_, nullptr)),
+      span_(std::move(other.span_)),
+      command_(std::move(other.command_)),
+      attempt_(other.attempt_),
+      wall_start_(other.wall_start_) {}
+
+template <typename Sink>
+SpanScope<Sink>::~SpanScope() {
+  if (sink_ == nullptr) return;
+  const auto now = std::chrono::steady_clock::now();
+  span_.wall_dur_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                          now - wall_start_)
+                          .count();
+  if constexpr (std::is_same_v<Sink, Tracer>) {
+    sink_->record(std::move(span_));
+  } else {
+    sink_->record(std::move(span_), std::move(command_), attempt_);
+  }
+}
+
+template <typename Sink>
+void SpanScope<Sink>::arg(std::string key, std::string value) {
+  if (sink_ == nullptr) return;
+  span_.args.emplace_back(std::move(key), std::move(value));
+}
+
+template <typename Sink>
+void SpanScope<Sink>::set_sim_interval(sim::TimePoint start, sim::Duration duration) {
+  if (sink_ == nullptr) return;
+  span_.sim_ts_ms = start.total_ms();
+  span_.sim_dur_ms = duration.total_ms();
+}
+
+template class SpanScope<Tracer>;
+template class SpanScope<TelemetryStage>;
+
 // --- Tracer ------------------------------------------------------------------
 
 Tracer::Tracer(bool enabled, std::size_t max_spans)
@@ -711,45 +766,10 @@ Tracer::Tracer(bool enabled, std::size_t max_spans)
       max_spans_(std::max<std::size_t>(max_spans, 1)),
       epoch_(std::chrono::steady_clock::now()) {}
 
-Tracer::Scope::Scope(Scope&& other) noexcept
-    : tracer_(other.tracer_),
-      span_(std::move(other.span_)),
-      wall_start_(other.wall_start_) {
-  other.tracer_ = nullptr;
-}
-
-Tracer::Scope::~Scope() {
-  if (tracer_ == nullptr) return;
-  const auto now = std::chrono::steady_clock::now();
-  span_.wall_dur_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          now - wall_start_)
-                          .count();
-  tracer_->record(std::move(span_));
-}
-
-void Tracer::Scope::arg(std::string key, std::string value) {
-  if (tracer_ == nullptr) return;
-  span_.args.emplace_back(std::move(key), std::move(value));
-}
-
-void Tracer::Scope::set_sim_interval(sim::TimePoint start, sim::Duration duration) {
-  if (tracer_ == nullptr) return;
-  span_.sim_ts_ms = start.total_ms();
-  span_.sim_dur_ms = duration.total_ms();
-}
-
 Tracer::Scope Tracer::span(std::string_view name, std::string_view category,
                            sim::TimePoint sim_now) {
-  Scope scope(enabled_ ? this : nullptr);
-  if (!enabled_) return scope;
-  scope.wall_start_ = std::chrono::steady_clock::now();
-  scope.span_.name = std::string(name);
-  scope.span_.category = std::string(category);
-  scope.span_.sim_ts_ms = sim_now.total_ms();
-  scope.span_.wall_ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                               scope.wall_start_ - epoch_)
-                               .count();
-  scope.span_.tid = thread_id();
+  Scope scope(enabled_ ? this : nullptr, *this, name, category, sim_now);
+  if (enabled_) scope.span_.tid = thread_id();
   return scope;
 }
 
@@ -873,9 +893,14 @@ std::size_t EventLog::size() const {
   return ring_.size();
 }
 
-std::vector<TelemetryEvent> EventLog::snapshot() const {
+std::vector<TelemetryEvent> EventLog::snapshot(std::uint64_t from_seq) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  const std::uint64_t first_seq = ring_.empty() ? 0 : ring_.front().seq;
+  const std::size_t skip = from_seq <= first_seq
+                               ? 0
+                               : static_cast<std::size_t>(std::min<std::uint64_t>(
+                                     from_seq - first_seq, ring_.size()));
+  return {ring_.begin() + static_cast<std::ptrdiff_t>(skip), ring_.end()};
 }
 
 /// logfmt value: bare when simple, double-quoted with escapes otherwise.
@@ -983,54 +1008,11 @@ std::string correlation_id(std::size_t cycle_seq, std::string_view target,
 
 // --- TelemetryStage ----------------------------------------------------------
 
-TelemetryStage::Span::Span(Span&& other) noexcept
-    : stage_(other.stage_),
-      span_(std::move(other.span_)),
-      command_(std::move(other.command_)),
-      attempt_(other.attempt_),
-      wall_start_(other.wall_start_) {
-  other.stage_ = nullptr;
-}
-
-TelemetryStage::Span::~Span() {
-  if (stage_ == nullptr) return;
-  const auto now = std::chrono::steady_clock::now();
-  span_.wall_dur_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                          now - wall_start_)
-                          .count();
-  stage_->record(std::move(span_), std::move(command_), attempt_);
-}
-
-void TelemetryStage::Span::arg(std::string key, std::string value) {
-  if (stage_ == nullptr) return;
-  span_.args.emplace_back(std::move(key), std::move(value));
-}
-
-void TelemetryStage::Span::set_sim_interval(sim::TimePoint start,
-                                            sim::Duration duration) {
-  if (stage_ == nullptr) return;
-  span_.sim_ts_ms = start.total_ms();
-  span_.sim_dur_ms = duration.total_ms();
-}
-
-void TelemetryStage::Span::set_context(std::string command,
-                                       std::size_t attempt) {
-  if (stage_ == nullptr) return;
-  command_ = std::move(command);
-  attempt_ = attempt;
-}
-
 TelemetryStage::Span TelemetryStage::span(std::string_view name,
                                           std::string_view category,
                                           sim::TimePoint sim_now) {
-  Span scope(enabled() ? this : nullptr);
-  if (!enabled()) return scope;
-  scope.wall_start_ = std::chrono::steady_clock::now();
-  scope.span_.name = std::string(name);
-  scope.span_.category = std::string(category);
-  scope.span_.sim_ts_ms = sim_now.total_ms();
-  scope.span_.wall_ts_us = wall_now_us();
-  return scope;
+  return Span(enabled() ? this : nullptr, telemetry_->tracer(), name, category,
+              sim_now);
 }
 
 void TelemetryStage::record(TraceSpan span, std::string command,

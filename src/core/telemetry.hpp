@@ -27,6 +27,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -256,6 +257,49 @@ struct TraceSpan {
   std::vector<std::pair<std::string, std::string>> args;
 };
 
+class Tracer;
+class TelemetryStage;
+
+/// RAII span, the one implementation behind Tracer::Scope and
+/// TelemetryStage::Span: the wall interval runs from construction to
+/// destruction, and the simulated interval and args are attached before it
+/// closes. The two differ only in where a closed span goes — a Tracer
+/// stores it, a TelemetryStage stages it (with its correlation context) for
+/// the post-join flush. A disabled sink hands out inert scopes: no clock
+/// reads, no allocation, no storage.
+template <typename Sink>
+class SpanScope {
+ public:
+  SpanScope(SpanScope&& other) noexcept;
+  SpanScope& operator=(SpanScope&&) = delete;
+  SpanScope(const SpanScope&) = delete;
+  ~SpanScope();
+
+  void arg(std::string key, std::string value);
+  void set_sim_interval(sim::TimePoint start, sim::Duration duration);
+  /// Scopes the correlation id stamped at flush to one command attempt.
+  void set_context(std::string command, std::size_t attempt = 0)
+    requires std::same_as<Sink, TelemetryStage>
+  {
+    if (sink_ == nullptr) return;
+    command_ = std::move(command);
+    attempt_ = attempt;
+  }
+
+ private:
+  friend Sink;
+  /// Null `sink` = inert. `clock` is the tracer whose epoch wall times count
+  /// from.
+  SpanScope(Sink* sink, const Tracer& clock, std::string_view name,
+            std::string_view category, sim::TimePoint sim_now);
+
+  Sink* sink_;
+  TraceSpan span_;
+  std::string command_;
+  std::size_t attempt_ = 0;
+  std::chrono::steady_clock::time_point wall_start_;
+};
+
 /// Span recorder. Bounded: past `max_spans`, further spans are counted as
 /// dropped rather than stored (the export stays loadable).
 class Tracer {
@@ -264,26 +308,9 @@ class Tracer {
 
   [[nodiscard]] bool enabled() const { return enabled_; }
 
-  /// RAII span: wall interval measured from construction to destruction;
-  /// the simulated interval and args are attached before it closes. A
-  /// disabled tracer hands out inert scopes (no clock reads, no storage).
-  class Scope {
-   public:
-    Scope(Scope&& other) noexcept;
-    Scope& operator=(Scope&&) = delete;
-    Scope(const Scope&) = delete;
-    ~Scope();
-
-    void arg(std::string key, std::string value);
-    void set_sim_interval(sim::TimePoint start, sim::Duration duration);
-
-   private:
-    friend class Tracer;
-    explicit Scope(Tracer* tracer) : tracer_(tracer) {}
-    Tracer* tracer_;  ///< null = inert
-    TraceSpan span_;
-    std::chrono::steady_clock::time_point wall_start_;
-  };
+  /// A span recorded here when it closes, stamped with the opening thread's
+  /// tid.
+  using Scope = SpanScope<Tracer>;
 
   [[nodiscard]] Scope span(std::string_view name, std::string_view category,
                            sim::TimePoint sim_now);
@@ -317,6 +344,9 @@ class Tracer {
   [[nodiscard]] std::uint32_t thread_id();
 
  private:
+  template <typename>
+  friend class SpanScope;  ///< reads epoch_ when a span opens
+
   bool enabled_;
   std::size_t max_spans_;
   std::chrono::steady_clock::time_point epoch_;
@@ -364,7 +394,9 @@ class EventLog {
   [[nodiscard]] std::uint64_t dropped() const {
     return dropped_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::vector<TelemetryEvent> snapshot() const;
+  /// The ring's events with seq >= `from_seq`, oldest first. The ring holds
+  /// one contiguous run of seqs, so the tail is found by offset, not a scan.
+  [[nodiscard]] std::vector<TelemetryEvent> snapshot(std::uint64_t from_seq = 0) const;
   /// `sim_ts=<t> level=<l> event=<name> k=v ...` per line, oldest first.
   /// Values containing spaces/quotes are quoted and escaped.
   [[nodiscard]] std::string logfmt(std::size_t last_n = 0) const;
@@ -446,28 +478,9 @@ class Telemetry {
 /// commutative, so the shared registry absorbs them directly.
 class TelemetryStage {
  public:
-  /// RAII span against the stage's buffer, mirroring Tracer::Scope, plus
-  /// the correlation context (command/attempt) stamped at flush time.
-  class Span {
-   public:
-    Span(Span&& other) noexcept;
-    Span& operator=(Span&&) = delete;
-    Span(const Span&) = delete;
-    ~Span();
-
-    void arg(std::string key, std::string value);
-    void set_sim_interval(sim::TimePoint start, sim::Duration duration);
-    void set_context(std::string command, std::size_t attempt = 0);
-
-   private:
-    friend class TelemetryStage;
-    explicit Span(TelemetryStage* stage) : stage_(stage) {}
-    TelemetryStage* stage_;  ///< null = inert
-    TraceSpan span_;
-    std::string command_;
-    std::size_t attempt_ = 0;
-    std::chrono::steady_clock::time_point wall_start_;
-  };
+  /// A span staged here when it closes; tid and correlation id are stamped
+  /// at flush.
+  using Span = SpanScope<TelemetryStage>;
 
   explicit TelemetryStage(Telemetry* telemetry = &Telemetry::noop())
       : telemetry_(telemetry) {}
@@ -478,9 +491,6 @@ class TelemetryStage {
 
   [[nodiscard]] bool enabled() const { return telemetry_->enabled(); }
   [[nodiscard]] MetricsRegistry& metrics() { return telemetry_->metrics(); }
-  [[nodiscard]] std::int64_t wall_now_us() const {
-    return telemetry_->tracer().wall_now_us();
-  }
 
   [[nodiscard]] Span span(std::string_view name, std::string_view category,
                           sim::TimePoint sim_now);

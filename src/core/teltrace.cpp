@@ -19,7 +19,6 @@ using codec::put_svarint;
 using codec::put_varint;
 
 constexpr FramedLogFormat kFormat{0x4C45544Du, 1, ".mtel"};  // "MTEL"
-constexpr SidecarFormat kRollupFormat{0x4C52544Du, 1, ".mtrl"};  // "MTRL"
 
 constexpr std::uint8_t kRecordKeyframe = 1;
 constexpr std::uint8_t kRecordDelta = 2;
@@ -68,31 +67,11 @@ std::string series_key(const std::string& name, const std::string& labels) {
   return key;
 }
 
-/// Enumerates every (series, value) pair of a snapshot in deterministic
-/// order, producing the exact doubles telemetry_series_value returns — the
-/// rollup builder and the raw query path must agree bit for bit.
-template <typename Fn>
-void enumerate_series_values(const MetricsSnapshot& snapshot, Fn&& fn) {
-  for (const MetricsSnapshot::CounterSample& counter : snapshot.counters) {
-    fn(series_key(counter.name, counter.labels),
-       static_cast<double>(counter.value));
-  }
-  for (const MetricsSnapshot::GaugeSample& gauge : snapshot.gauges) {
-    fn(series_key(gauge.name, gauge.labels), gauge.value);
-  }
-  for (const MetricsSnapshot::HistogramSample& histogram : snapshot.histograms) {
-    const std::string base = series_key(histogram.name, histogram.labels);
-    fn(base + ":count", static_cast<double>(histogram.count));
-    fn(base + ":sum", histogram.sum);
-    fn(base + ":p50", histogram.quantile(0.5));
-    fn(base + ":p95", histogram.quantile(0.95));
-  }
-}
-
 double zero_extract(const CycleResult&) { return 0.0; }
 
-/// AlertEngine requires a non-null extract for threshold rules even though
-/// the self-monitoring path feeds values through observe_values directly.
+/// The one place a self-rule gains its `extract` placeholder: AlertEngine
+/// requires a non-null extract for threshold rules even though the
+/// self-monitoring path feeds values through observe_values directly.
 std::vector<AlertRule> alert_rules_of(const std::vector<SelfRule>& rules) {
   std::vector<AlertRule> out;
   out.reserve(rules.size());
@@ -599,104 +578,22 @@ std::vector<std::string> telemetry_series_names(const MetricsSnapshot& snapshot)
   std::vector<std::string> names;
   names.reserve(snapshot.counters.size() + snapshot.gauges.size() +
                 snapshot.histograms.size() * 4);
-  enumerate_series_values(snapshot, [&](std::string series, double) {
-    names.push_back(std::move(series));
-  });
+  for (const MetricsSnapshot::CounterSample& counter : snapshot.counters) {
+    names.push_back(series_key(counter.name, counter.labels));
+  }
+  for (const MetricsSnapshot::GaugeSample& gauge : snapshot.gauges) {
+    names.push_back(series_key(gauge.name, gauge.labels));
+  }
+  for (const MetricsSnapshot::HistogramSample& histogram : snapshot.histograms) {
+    const std::string base = series_key(histogram.name, histogram.labels);
+    for (const std::string_view suffix : {":count", ":sum", ":p50", ":p95"}) {
+      names.push_back(base + std::string(suffix));
+    }
+  }
   return names;
 }
 
-// --- Rollups ---------------------------------------------------------------
-
-SidecarFingerprint fingerprint_of(const TelemetryArchiveReader& reader) {
-  SidecarFingerprint fingerprint;
-  fingerprint.records = reader.size();
-  if (!reader.empty()) {
-    fingerprint.first_ms = reader.samples().front().t_ms;
-    fingerprint.last_ms = reader.samples().back().t_ms;
-  }
-  fingerprint.indexed_bytes = reader.indexed_bytes();
-  return fingerprint;
-}
-
-TelemetryRollupSidecar build_telemetry_rollups(
-    const TelemetryArchiveReader& reader) {
-  // series -> hour start -> bucket, accumulated in sample order with the
-  // exact arithmetic the raw query path uses.
-  std::map<std::string, std::map<std::int64_t, TelemetryRollupBucket>> acc;
-  for (const TelemetrySample& sample : reader.samples()) {
-    const std::int64_t start = bucket_floor(sample.t_ms, kHourMs);
-    enumerate_series_values(
-        sample.metrics, [&](std::string series, double value) {
-          TelemetryRollupBucket& bucket = acc[std::move(series)][start];
-          bucket.start_ms = start;
-          bucket.value.add(value, bucket.samples == 0);
-          ++bucket.samples;
-        });
-  }
-
-  TelemetryRollupSidecar sidecar;
-  sidecar.source = fingerprint_of(reader);
-  sidecar.series.reserve(acc.size());
-  for (auto& [series, buckets] : acc) {
-    TelemetrySeriesRollup rollup;
-    rollup.series = series;
-    rollup.hourly.reserve(buckets.size());
-    for (auto& [start, bucket] : buckets) rollup.hourly.push_back(bucket);
-    sidecar.series.push_back(std::move(rollup));
-  }
-  return sidecar;
-}
-
-std::string telemetry_rollup_path_for(const std::string& archive_path) {
-  return sidecar_path_for(archive_path, kRollupFormat);
-}
-
-bool write_telemetry_rollup_sidecar(const std::string& path,
-                                    const TelemetryRollupSidecar& sidecar) {
-  std::string body;
-  put_varint(body, sidecar.series.size());
-  for (const TelemetrySeriesRollup& series : sidecar.series) {
-    put_string(body, series.series);
-    put_varint(body, series.hourly.size());
-    for (const TelemetryRollupBucket& bucket : series.hourly) {
-      put_svarint(body, bucket.start_ms);
-      put_varint(body, bucket.samples);
-      put_f64(body, bucket.value.min);
-      put_f64(body, bucket.value.max);
-      put_f64(body, bucket.value.sum);
-      put_f64(body, bucket.value.last);
-    }
-  }
-  return write_sidecar(path, kRollupFormat, sidecar.source, body);
-}
-
-std::optional<TelemetryRollupSidecar> load_telemetry_rollup_sidecar(
-    const std::string& path) {
-  TelemetryRollupSidecar sidecar;
-  const bool loaded = load_sidecar(path, kRollupFormat, sidecar.source, [&](Cursor& body) {
-    const std::uint64_t series_count = body.varint();
-    sidecar.series.reserve(series_count);
-    for (std::uint64_t s = 0; s < series_count; ++s) {
-      TelemetrySeriesRollup series;
-      series.series = body.string();
-      const std::uint64_t bucket_count = body.varint();
-      series.hourly.reserve(bucket_count);
-      for (std::uint64_t b = 0; b < bucket_count; ++b) {
-        TelemetryRollupBucket bucket;
-        bucket.start_ms = body.svarint();
-        bucket.samples = static_cast<std::uint32_t>(body.varint());
-        bucket.value.min = body.f64();
-        bucket.value.max = body.f64();
-        bucket.value.sum = body.f64();
-        bucket.value.last = body.f64();
-        series.hourly.push_back(bucket);
-      }
-      sidecar.series.push_back(std::move(series));
-    }
-  });
-  if (!loaded) return std::nullopt;
-  return sidecar;
-}
+// --- Compaction ------------------------------------------------------------
 
 TelemetryCompactionStats compact_telemetry_archive(
     const std::string& input_path, const std::string& output_path,
@@ -722,21 +619,6 @@ TelemetryCompactionStats compact_telemetry_archive(
   writer.close();
   stats.samples_out = writer.samples_written();
   stats.bytes_out = writer.bytes_written();
-
-  if (options.write_rollups) {
-    // Re-open the output so the fingerprint describes the bytes actually on
-    // disk, not what we think we wrote.
-    const TelemetryArchiveReader rewritten(output_path);
-    const TelemetryRollupSidecar sidecar = build_telemetry_rollups(rewritten);
-    stats.rollups_written = write_telemetry_rollup_sidecar(
-        telemetry_rollup_path_for(output_path), sidecar);
-    if (stats.rollups_written) {
-      stats.rollup_series = sidecar.series.size();
-      for (const TelemetrySeriesRollup& series : sidecar.series) {
-        stats.rollup_hour_buckets += series.hourly.size();
-      }
-    }
-  }
   return stats;
 }
 
@@ -744,12 +626,12 @@ TelemetryCompactionStats compact_telemetry_archive(
 
 void TelemetryQueryEngine::add_archive(std::string name,
                                        const std::string& path) {
+  if (find(name) != nullptr) {
+    throw std::invalid_argument("TelemetryQueryEngine: duplicate source " + name);
+  }
   auto source = std::make_unique<Source>();
   source->name = std::move(name);
   source->reader = std::make_unique<TelemetryArchiveReader>(path);
-  source->rollups =
-      keep_if_fresh(load_telemetry_rollup_sidecar(telemetry_rollup_path_for(path)),
-                    fingerprint_of(*source->reader), rollups_rejected_);
   sources_.push_back(std::move(source));
 }
 
@@ -776,11 +658,6 @@ const TelemetryArchiveReader* TelemetryQueryEngine::reader(
   return source == nullptr ? nullptr : source->reader.get();
 }
 
-bool TelemetryQueryEngine::has_rollups(const std::string& name) const {
-  const Source* source = find(name);
-  return source != nullptr && source->rollups.has_value();
-}
-
 QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
   const Source* source = find(query.source);
   if (source == nullptr) {
@@ -791,36 +668,6 @@ QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
   const QueryWindow window = query_window(query.from, query.to, query.resolution);
   if (window.from_ms > window.to_ms) return {};
 
-  // The sidecar holds hourly buckets only; day resolution (and unknown
-  // series) falls back to the raw scan.
-  if (query.resolution == QueryResolution::hour && query.allow_rollup &&
-      source->rollups) {
-    const std::vector<TelemetrySeriesRollup>& all = source->rollups->series;
-    const auto it = std::lower_bound(
-        all.begin(), all.end(), query.series,
-        [](const TelemetrySeriesRollup& rollup, const std::string& key) {
-          return rollup.series < key;
-        });
-    if (it != all.end() && it->series == query.series) {
-      QueryResult result;
-      result.from_rollup = true;
-      const auto first = std::lower_bound(
-          it->hourly.begin(), it->hourly.end(), window.from_ms,
-          [](const TelemetryRollupBucket& bucket, std::int64_t t) {
-            return bucket.start_ms < t;
-          });
-      for (auto bucket = first;
-           bucket != it->hourly.end() && bucket->start_ms <= window.to_ms; ++bucket) {
-        ++result.rollup_buckets;
-        result.points.push_back({sim::TimePoint::from_ms(bucket->start_ms),
-                                 bucket->value.value(query.aggregate, bucket->samples),
-                                 bucket->samples});
-      }
-      return result;
-    }
-  }
-
-  // Raw scan.
   QueryResult result;
   const std::vector<TelemetrySample>& samples = source->reader->samples();
   auto it = std::lower_bound(
@@ -851,7 +698,6 @@ std::vector<SelfRule> default_self_rules() {
   cycle.rule.name = "cycle_duration_p95";
   cycle.rule.severity = AlertSeverity::warning;
   cycle.rule.kind = AlertRule::Kind::threshold;
-  cycle.rule.extract = zero_extract;
   cycle.rule.aggregate = AlertRule::Aggregate::quantile;
   cycle.rule.quantile_q = 0.95;
   cycle.rule.window = 48;
@@ -870,7 +716,6 @@ std::vector<SelfRule> default_self_rules() {
   queue.rule.name = "pool_queue_depth";
   queue.rule.severity = AlertSeverity::warning;
   queue.rule.kind = AlertRule::Kind::threshold;
-  queue.rule.extract = zero_extract;
   queue.rule.aggregate = AlertRule::Aggregate::mean;
   queue.rule.window = 12;
   queue.rule.fire_threshold = 64.0;
@@ -889,7 +734,6 @@ std::vector<SelfRule> default_self_rules() {
   failures.rule.name = "capture_failure_rate";
   failures.rule.severity = AlertSeverity::critical;
   failures.rule.kind = AlertRule::Kind::threshold;
-  failures.rule.extract = zero_extract;
   failures.rule.aggregate = AlertRule::Aggregate::mean;
   failures.rule.window = 6;
   failures.rule.fire_threshold = 0.5;
@@ -926,7 +770,6 @@ std::vector<SelfRule> default_self_rules() {
   fsync_latency.rule.name = "archive_write_latency";
   fsync_latency.rule.severity = AlertSeverity::warning;
   fsync_latency.rule.kind = AlertRule::Kind::threshold;
-  fsync_latency.rule.extract = zero_extract;
   fsync_latency.rule.aggregate = AlertRule::Aggregate::quantile;
   fsync_latency.rule.quantile_q = 0.95;
   fsync_latency.rule.window = 48;
@@ -973,7 +816,6 @@ std::vector<SelfRule> default_self_rules() {
   cache.rule.name = "cache_hit_rate";
   cache.rule.severity = AlertSeverity::info;
   cache.rule.kind = AlertRule::Kind::threshold;
-  cache.rule.extract = zero_extract;
   cache.rule.aggregate = AlertRule::Aggregate::mean;
   cache.rule.window = 12;
   cache.rule.fire_above = false;
@@ -1015,14 +857,13 @@ void SelfMonitorConfig::validate() const {
     throw std::invalid_argument(
         "SelfMonitorConfig.archive.keyframe_interval must be >= 1");
   }
-  for (const SelfRule& self : rules) {
-    if (!self.value) {
-      throw std::invalid_argument("SelfRule '" + self.rule.name +
+  const std::vector<AlertRule> alert_rules = alert_rules_of(rules);
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    if (!rules[i].value) {
+      throw std::invalid_argument("SelfRule '" + rules[i].rule.name +
                                   "' has no value extractor");
     }
-    AlertRule rule = self.rule;
-    if (!rule.extract) rule.extract = zero_extract;
-    rule.validate();
+    alert_rules[i].validate();
   }
 }
 
@@ -1034,12 +875,6 @@ SelfMonitor::SelfMonitor(SelfMonitorConfig config, Telemetry* telemetry)
   config_.validate();
   if (telemetry_ == nullptr) {
     throw std::invalid_argument("SelfMonitor: telemetry must not be null");
-  }
-  for (const SelfRule& self : rules_) {
-    if (!self.value) {
-      throw std::invalid_argument("SelfRule '" + self.rule.name +
-                                  "' has no value extractor");
-    }
   }
   alerts_.set_telemetry(telemetry_);
   if (!config_.path.empty()) {
@@ -1055,11 +890,8 @@ void SelfMonitor::sample(sim::TimePoint now) {
   TelemetrySample sample;
   sample.t_ms = now.total_ms();
   sample.metrics = telemetry_->metrics().snapshot();
-  for (TelemetryEvent& event : telemetry_->events().snapshot()) {
-    if (event.seq < next_event_seq_) continue;
-    next_event_seq_ = event.seq + 1;
-    sample.events.push_back(std::move(event));
-  }
+  sample.events = telemetry_->events().snapshot(next_event_seq_);
+  if (!sample.events.empty()) next_event_seq_ = sample.events.back().seq + 1;
 
   if (writer_) writer_->append(sample);
   samples_.push_back(std::move(sample));

@@ -16,10 +16,9 @@
 //     XOR-of-IEEE-754-bits varints — lossless). A metric dictionary grows
 //     append-only across the file so names/labels/bounds are written once.
 //   * TelemetryQueryEngine — the core/query pattern over `.mtel` files:
-//     {series, [from, to], resolution, aggregate} questions, per-hour
-//     rollup sidecars (`.mtrl`) built at compaction whose answers are
-//     bit-identical to a raw scan by construction (same extraction, same
-//     accumulation order, outward bucket snapping).
+//     {series, [from, to], resolution, aggregate} questions answered from
+//     the samples the reader decoded at open, folded per bucket with
+//     core/query's PointFolder and outward bucket snapping.
 //   * SelfMonitor — samples the live Telemetry once per cycle, appends to
 //     the `.mtel`, and evaluates a self-monitoring rule pack
 //     (cycle-duration p95, pool queue depth, capture failure rate, archive
@@ -120,7 +119,7 @@ class TelemetryArchiveWriter {
   void close();
 
   [[nodiscard]] std::size_t samples_written() const { return log_.frames_written(); }
-  /// Total file bytes including the header — the fingerprint identity.
+  /// Total file bytes including the header.
   [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
   [[nodiscard]] const std::string& path() const { return log_.path(); }
   [[nodiscard]] const TelemetryArchiveOptions& options() const { return options_; }
@@ -161,7 +160,7 @@ class TelemetryArchiveReader {
   RecoveryInfo recovery_;
 };
 
-// --- Series & rollups ------------------------------------------------------
+// --- Series & compaction --------------------------------------------------
 
 /// A telemetry series names one scalar per sample:
 ///
@@ -173,68 +172,19 @@ class TelemetryArchiveReader {
 ///
 /// Values are the *cumulative* state at the sample (rates are a rule-pack
 /// concern, not a storage concern). nullopt when the series is absent from
-/// the sample — absent samples contribute nothing to aggregates, in both
-/// the raw and the rollup path.
+/// the sample — absent samples contribute nothing to aggregates.
 [[nodiscard]] std::optional<double> telemetry_series_value(
     const MetricsSnapshot& snapshot, std::string_view series);
 
 /// Every series a snapshot exposes, in deterministic (kind-section, name,
-/// labels) order — the rollup builder's enumeration.
+/// labels) order — series discovery for TelemetryQuery.
 [[nodiscard]] std::vector<std::string> telemetry_series_names(
     const MetricsSnapshot& snapshot);
-
-struct TelemetryRollupBucket {
-  std::int64_t start_ms = 0;  ///< hour-aligned
-  std::uint32_t samples = 0;
-  MetricRollup value;
-
-  friend bool operator==(const TelemetryRollupBucket&,
-                         const TelemetryRollupBucket&) = default;
-};
-
-struct TelemetrySeriesRollup {
-  std::string series;
-  std::vector<TelemetryRollupBucket> hourly;  ///< ascending, gaps allowed
-
-  friend bool operator==(const TelemetrySeriesRollup&,
-                         const TelemetrySeriesRollup&) = default;
-};
-
-struct TelemetryRollupSidecar {
-  /// The `.mtel` it summarizes (records = samples); mismatch = stale,
-  /// ignored (the raw file stays the source of truth).
-  SidecarFingerprint source;
-  std::vector<TelemetrySeriesRollup> series;  ///< sorted by series key
-};
-
-/// The fingerprint an up-to-date `.mtrl` for `reader` must carry.
-[[nodiscard]] SidecarFingerprint fingerprint_of(const TelemetryArchiveReader& reader);
-
-/// Per-hour rollups of every series in one sequential pass, accumulated in
-/// sample order with the same double arithmetic the raw query path uses —
-/// which is what makes rollup-served answers bit-identical to raw scans.
-[[nodiscard]] TelemetryRollupSidecar build_telemetry_rollups(
-    const TelemetryArchiveReader& reader);
-
-/// `<dir>/<stem>.mtrl` next to `<dir>/<stem>.mtel`.
-[[nodiscard]] std::string telemetry_rollup_path_for(
-    const std::string& archive_path);
-
-/// The core/framed sidecar envelope, magic "MTRL". False on I/O failure,
-/// never throws.
-bool write_telemetry_rollup_sidecar(const std::string& path,
-                                    const TelemetryRollupSidecar& sidecar);
-
-/// nullopt on missing file, bad magic/version, CRC mismatch or undecodable
-/// payload.
-[[nodiscard]] std::optional<TelemetryRollupSidecar> load_telemetry_rollup_sidecar(
-    const std::string& path);
 
 struct TelemetryCompactionOptions {
   int keyframe_interval = 96;
   /// Samples strictly before this instant are dropped.
   std::optional<sim::TimePoint> drop_before;
-  bool write_rollups = true;  ///< emit the `.mtrl` sidecar next to the output
 };
 
 struct TelemetryCompactionStats {
@@ -243,14 +193,10 @@ struct TelemetryCompactionStats {
   std::size_t samples_dropped = 0;
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
-  bool rollups_written = false;
-  std::size_t rollup_series = 0;
-  std::size_t rollup_hour_buckets = 0;
 };
 
-/// Rewrites `input_path` into `output_path` (healing any torn tail by
-/// construction) and by default materializes the rollup sidecar for the
-/// rewritten file.
+/// Rewrites `input_path` into `output_path`, healing any torn tail by
+/// construction and applying the retention horizon.
 TelemetryCompactionStats compact_telemetry_archive(
     const std::string& input_path, const std::string& output_path,
     TelemetryCompactionOptions options = {});
@@ -258,9 +204,8 @@ TelemetryCompactionStats compact_telemetry_archive(
 // --- Queries ---------------------------------------------------------------
 
 /// One question about a telemetry series. Same range semantics as
-/// core/query's Query: samples with from <= t <= to participate; hour
-/// resolution snaps the range outward to whole buckets so rollup-served and
-/// raw-scanned answers agree by construction.
+/// core/query's Query: samples with from <= t <= to participate; hour and
+/// day resolution snap the range outward to whole buckets.
 struct TelemetryQuery {
   std::string source;  ///< archive name given to add_archive
   std::string series;
@@ -268,7 +213,6 @@ struct TelemetryQuery {
   sim::TimePoint to = sim::TimePoint::from_ms(std::int64_t{1} << 62);
   QueryResolution resolution = QueryResolution::raw;
   QueryAggregate aggregate = QueryAggregate::last;  ///< ignored for raw
-  bool allow_rollup = true;  ///< false: force the raw path (bench/parity tests)
 };
 
 /// Serves TelemetryQuery over one or more `.mtel` files (one per shard in a
@@ -278,33 +222,27 @@ class TelemetryQueryEngine {
  public:
   TelemetryQueryEngine() = default;
 
-  /// Opens `path` under `name` and attaches its `.mtrl` sidecar when present
-  /// and fingerprint-matched (stale/damaged sidecars are counted and
-  /// ignored). Throws what TelemetryArchiveReader throws.
+  /// Opens `path` under `name`. Throws std::invalid_argument for a name
+  /// already added, and what TelemetryArchiveReader throws.
   void add_archive(std::string name, const std::string& path);
 
   [[nodiscard]] std::vector<std::string> sources() const;
   /// nullptr when `name` was never added.
   [[nodiscard]] const TelemetryArchiveReader* reader(const std::string& name) const;
-  [[nodiscard]] bool has_rollups(const std::string& name) const;
-  [[nodiscard]] std::size_t rollups_rejected() const { return rollups_rejected_; }
 
-  /// Answers one query; QueryResult::records_decoded counts samples visited
-  /// by the raw path (0 when the rollup sidecar answered). Throws
-  /// std::invalid_argument for an unknown source.
+  /// Answers one query; QueryResult::records_decoded counts the samples in
+  /// the (snapped) range. Throws std::invalid_argument for an unknown source.
   [[nodiscard]] QueryResult run(const TelemetryQuery& query) const;
 
  private:
   struct Source {
     std::string name;
     std::unique_ptr<TelemetryArchiveReader> reader;
-    std::optional<TelemetryRollupSidecar> rollups;
   };
 
   [[nodiscard]] const Source* find(const std::string& name) const;
 
   std::vector<std::unique_ptr<Source>> sources_;
-  std::size_t rollups_rejected_ = 0;
 };
 
 // --- Self-monitoring -------------------------------------------------------

@@ -733,6 +733,64 @@ TEST(TelemetryStage, FlushStampsTidAndCorrelationIds) {
   EXPECT_EQ(events[0].fields[1].first, "target");
 }
 
+// Tracer::Scope and TelemetryStage::Span are one span implementation: built
+// alike they record the same span, except for what the stage's flush stamps
+// (the lane tid and the leading `corr` arg) and the wall clock.
+TEST(TelemetryStage, StageSpanRecordsWhatATracerSpanRecords) {
+  TelemetryConfig config;
+  config.enabled = true;
+  Telemetry telemetry(config);
+  TelemetryStage stage(&telemetry);
+  const auto build = [](auto scope) {
+    scope.arg("target", "fixw");
+    scope.arg("status", "ok");
+    scope.set_sim_interval(sim::TimePoint::from_ms(900'000), sim::Duration::seconds(12));
+  };
+  build(telemetry.tracer().span("capture", "collect", sim::TimePoint::from_ms(60'000)));
+  build(stage.span("capture", "collect", sim::TimePoint::from_ms(60'000)));
+  ASSERT_EQ(telemetry.tracer().span_count(), 1u);  // the stage holds its span
+  stage.flush(/*cycle_seq=*/7, "fixw", /*tid=*/3);
+
+  std::vector<TraceSpan> spans = telemetry.tracer().snapshot();
+  ASSERT_EQ(spans.size(), 2u);
+  TraceSpan& direct = spans[0];
+  TraceSpan& staged = spans[1];
+  EXPECT_EQ(direct.tid, telemetry.tracer().thread_id());
+  EXPECT_EQ(staged.tid, 3u);
+  ASSERT_FALSE(staged.args.empty());
+  EXPECT_EQ(staged.args.front(),
+            (std::pair<std::string, std::string>{"corr", correlation_id(7, "fixw")}));
+  staged.args.erase(staged.args.begin());
+  for (TraceSpan* span : {&direct, &staged}) {
+    EXPECT_GE(span->wall_ts_us, 0);
+    EXPECT_GE(span->wall_dur_us, 0);
+    span->tid = 0;
+    span->wall_ts_us = 0;
+    span->wall_dur_us = 0;
+  }
+  EXPECT_EQ(direct.name, staged.name);
+  EXPECT_EQ(direct.category, staged.category);
+  EXPECT_EQ(direct.sim_ts_ms, staged.sim_ts_ms);
+  EXPECT_EQ(direct.sim_dur_ms, staged.sim_dur_ms);
+  EXPECT_EQ(direct.args, staged.args);
+  EXPECT_EQ(direct.sim_ts_ms, 900'000);
+  EXPECT_EQ(direct.sim_dur_ms, 12'000);
+
+  // Inert scopes of both kinds record nothing, even after a flush.
+  Telemetry off;
+  TelemetryStage inert_stage(&off);
+  build(off.tracer().span("capture", "collect", sim::TimePoint::start()));
+  {
+    TelemetryStage::Span span = inert_stage.span("capture", "collect", sim::TimePoint::start());
+    span.set_context("show ip mroute", 1);
+    build(std::move(span));
+  }
+  EXPECT_EQ(inert_stage.staged_spans(), 0u);
+  inert_stage.flush(0, "fixw", 1);
+  EXPECT_EQ(off.tracer().span_count(), 0u);
+  EXPECT_EQ(off.tracer().dropped(), 0u);
+}
+
 // --- Determinism: ordering is worker_threads-invariant -----------------------
 
 // Tentpole invariant: spans and events are staged per target during the

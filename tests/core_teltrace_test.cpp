@@ -1,13 +1,15 @@
 // core/teltrace: the `.mtel` self-telemetry archive round-trips losslessly
-// and truncates (never propagates) torn tails; hourly rollup sidecars answer
-// coarse queries bit-identically to raw scans and are rejected when stale;
-// compaction heals damage and honors retention; the self-monitoring rule
-// pack fires on a seeded capture-fault burst; and the report's "Monitor
-// health" section renders byte-identically live and from an `.mtel` replay.
-// Sampling is result-neutral: every monitored-path output is byte-identical
-// with the self-monitor on or off.
+// and truncates (never propagates) torn tails; coarse queries over the raw
+// samples give bit for bit the answers of the retired rollup sidecar's fold
+// (tests/oracle/); compaction heals damage and honors retention; the
+// self-monitoring rule pack fires on a seeded capture-fault burst; each
+// sample's event tail holds exactly the events logged since the previous
+// one; and the report's "Monitor health" section renders byte-identically
+// live and from an `.mtel` replay. Sampling is result-neutral: every
+// monitored-path output is byte-identical with the self-monitor on or off.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +28,7 @@
 #include "core/teltrace.hpp"
 #include "core/telemetry.hpp"
 #include "core/transport.hpp"
+#include "oracle/telemetry_rollup_oracle.hpp"
 #include "sim/time.hpp"
 #include "workload/scenario.hpp"
 
@@ -194,44 +197,34 @@ TEST(TelemetryArchive, MissingFileAndBadHeaderThrow) {
   std::filesystem::remove_all(dir);
 }
 
-// --- Rollups & queries -------------------------------------------------------
+// --- Queries -----------------------------------------------------------------
 
-void expect_points_equal(const QueryResult& a, const QueryResult& b,
-                         const std::string& what) {
-  ASSERT_EQ(a.points.size(), b.points.size()) << what;
-  for (std::size_t i = 0; i < a.points.size(); ++i) {
-    EXPECT_EQ(a.points[i].t, b.points[i].t) << what << " point #" << i;
-    // Bit-identical, not approximately equal: both paths must run the same
-    // accumulation in the same order.
-    EXPECT_EQ(a.points[i].value, b.points[i].value) << what << " point #" << i;
-    EXPECT_EQ(a.points[i].samples, b.points[i].samples) << what << " point #" << i;
+void expect_points_equal(const std::vector<QueryPoint>& got,
+                         const std::vector<QueryPoint>& want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].t, want[i].t) << what << " point #" << i;
+    // Bit-identical, not approximately equal: the raw scan must run the
+    // fold's accumulation in the fold's order.
+    EXPECT_EQ(got[i].value, want[i].value) << what << " point #" << i;
+    EXPECT_EQ(got[i].samples, want[i].samples) << what << " point #" << i;
   }
 }
 
-TEST(TelemetryRollups, HourlyRollupAnswersAreBitIdenticalToRawScans) {
-  const std::filesystem::path dir = temp_dir("mantra_mtrl_parity");
-  const std::string raw_path = (dir / "self.mtel").string();
-  const std::string compacted = (dir / "compacted.mtel").string();
+TEST(TelemetryQueryEngine, CoarseAnswersEqualTheRollupFoldBitForBit) {
+  const std::filesystem::path dir = temp_dir("mantra_mtel_query_oracle");
+  const std::string path = (dir / "self.mtel").string();
   {
-    TelemetryArchiveWriter writer(raw_path);
+    TelemetryArchiveWriter writer(path);
     // 30 hours at one sample per 10 minutes.
     for (int i = 0; i < 180; ++i) writer.append(make_sample(i));
   }
-  const TelemetryCompactionStats stats =
-      compact_telemetry_archive(raw_path, compacted);
-  EXPECT_EQ(stats.samples_out, 180u);
-  EXPECT_TRUE(stats.rollups_written);
-  EXPECT_GT(stats.rollup_series, 0u);
-  EXPECT_GT(stats.rollup_hour_buckets, 0u);
-  ASSERT_TRUE(std::filesystem::exists(telemetry_rollup_path_for(compacted)));
-
   TelemetryQueryEngine engine;
-  engine.add_archive("self", compacted);
-  ASSERT_TRUE(engine.has_rollups("self"));
-  EXPECT_EQ(engine.rollups_rejected(), 0u);
+  engine.add_archive("self", path);
+  const std::vector<TelemetrySample>& samples = engine.reader("self")->samples();
+  ASSERT_EQ(samples.size(), 180u);
 
-  const std::vector<std::string> series =
-      telemetry_series_names(engine.reader("self")->samples().back().metrics);
+  const std::vector<std::string> series = telemetry_series_names(samples.back().metrics);
   ASSERT_FALSE(series.empty());
   const std::vector<QueryAggregate> aggregates = {
       QueryAggregate::last, QueryAggregate::min,  QueryAggregate::max,
@@ -242,61 +235,51 @@ TEST(TelemetryRollups, HourlyRollupAnswersAreBitIdenticalToRawScans) {
       {sim::TimePoint::from_ms(5 * 3'600'000 + 13 * 60'000),
        sim::TimePoint::from_ms(17 * 3'600'000 + 47 * 60'000)},
   };
-  std::size_t rollup_served = 0;
-  for (const std::string& name : series) {
-    for (const QueryAggregate aggregate : aggregates) {
-      for (const auto& [from, to] : ranges) {
-        TelemetryQuery query;
-        query.source = "self";
-        query.series = name;
-        query.from = from;
-        query.to = to;
-        query.resolution = QueryResolution::hour;
-        query.aggregate = aggregate;
-        const QueryResult via_rollup = engine.run(query);
-        query.allow_rollup = false;
-        const QueryResult via_raw = engine.run(query);
-        EXPECT_FALSE(via_raw.from_rollup);
-        EXPECT_GT(via_raw.records_decoded, 0u) << name;
-        if (via_rollup.from_rollup) {
-          ++rollup_served;
-          EXPECT_EQ(via_rollup.records_decoded, 0u) << name;
+  for (const auto& [resolution, width] :
+       {std::pair{QueryResolution::hour, kHourMs}, std::pair{QueryResolution::day, kDayMs}}) {
+    const oracle::TelemetryRollups rollups = oracle::build_telemetry_rollups(samples, width);
+    // Series discovery names exactly the series the fold enumerates.
+    std::vector<std::string> folded;
+    for (const auto& [name, buckets] : rollups) folded.push_back(name);
+    std::vector<std::string> discovered = series;
+    std::sort(discovered.begin(), discovered.end());
+    EXPECT_EQ(discovered, folded);
+    for (const std::string& name : series) {
+      for (const QueryAggregate aggregate : aggregates) {
+        for (const auto& [from, to] : ranges) {
+          TelemetryQuery query;
+          query.source = "self";
+          query.series = name;
+          query.from = from;
+          query.to = to;
+          query.resolution = resolution;
+          query.aggregate = aggregate;
+          const QueryResult result = engine.run(query);
+          EXPECT_FALSE(result.from_rollup);
+          EXPECT_GT(result.records_decoded, 0u) << name;
+          expect_points_equal(result.points, oracle::rollup_points(rollups, query), name);
         }
-        expect_points_equal(via_rollup, via_raw, name);
       }
     }
   }
-  // The sidecar actually served the coarse queries — the parity above was
-  // rollup-vs-raw, not raw-vs-raw.
-  EXPECT_EQ(rollup_served, series.size() * aggregates.size() * ranges.size());
-
-  // Day resolution is not materialized: it must fall back to the raw scan.
-  TelemetryQuery day;
-  day.source = "self";
-  day.series = series.front();
-  day.resolution = QueryResolution::day;
-  EXPECT_FALSE(engine.run(day).from_rollup);
-  EXPECT_GT(engine.run(day).records_decoded, 0u);
   std::filesystem::remove_all(dir);
 }
 
-TEST(TelemetryRollups, StaleSidecarIsRejectedAndRawScanServes) {
-  const std::filesystem::path dir = temp_dir("mantra_mtrl_stale");
+TEST(TelemetryQueryEngine, RawSamplesServeAndUnknownSourceThrows) {
+  const std::filesystem::path dir = temp_dir("mantra_mtel_query_raw");
   const std::string path = (dir / "self.mtel").string();
   {
     TelemetryArchiveWriter writer(path);
     for (int i = 0; i < 30; ++i) writer.append(make_sample(i));
   }
-  TelemetryArchiveReader reader(path);
-  TelemetryRollupSidecar sidecar = build_telemetry_rollups(reader);
-  sidecar.source.records += 1;  // no longer matches the `.mtel`
-  ASSERT_TRUE(
-      write_telemetry_rollup_sidecar(telemetry_rollup_path_for(path), sidecar));
+  // A `.mtrl` left behind by an older build is not read.
+  {
+    std::ofstream stale(dir / "self.mtrl", std::ios::binary);
+    stale << "left over from an older build";
+  }
 
   TelemetryQueryEngine engine;
   engine.add_archive("self", path);
-  EXPECT_FALSE(engine.has_rollups("self"));
-  EXPECT_EQ(engine.rollups_rejected(), 1u);
 
   TelemetryQuery query;
   query.source = "self";
@@ -310,6 +293,29 @@ TEST(TelemetryRollups, StaleSidecarIsRejectedAndRawScanServes) {
 
   EXPECT_THROW((void)engine.run({.source = "unknown", .series = "c_total"}),
                std::invalid_argument);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(TelemetryQueryEngine, DuplicateSourceNameThrows) {
+  const std::filesystem::path dir = temp_dir("mantra_mtel_query_duplicate");
+  const std::string first = (dir / "first.mtel").string();
+  const std::string second = (dir / "second.mtel").string();
+  {
+    TelemetryArchiveWriter writer(first);
+    for (int i = 0; i < 3; ++i) writer.append(make_sample(i));
+  }
+  {
+    TelemetryArchiveWriter writer(second);
+    for (int i = 0; i < 5; ++i) writer.append(make_sample(i));
+  }
+  TelemetryQueryEngine engine;
+  engine.add_archive("self", first);
+  EXPECT_THROW(engine.add_archive("self", second), std::invalid_argument);
+  // The first registration still answers under the name.
+  EXPECT_EQ(engine.sources(), std::vector<std::string>{"self"});
+  EXPECT_EQ(engine.reader("self")->size(), 3u);
+  engine.add_archive("other", second);
+  EXPECT_EQ(engine.reader("other")->size(), 5u);
   std::filesystem::remove_all(dir);
 }
 
@@ -338,7 +344,6 @@ TEST(TelemetryCompaction, HealsTornTailsAndHonorsRetention) {
   EXPECT_EQ(stats.samples_dropped, 12u);
   EXPECT_EQ(stats.samples_out, 11u);
   EXPECT_LT(stats.bytes_out, stats.bytes_in);
-  EXPECT_TRUE(stats.rollups_written);
 
   TelemetryArchiveReader reader(healed);
   EXPECT_TRUE(reader.recovery().clean);
@@ -346,9 +351,6 @@ TEST(TelemetryCompaction, HealsTornTailsAndHonorsRetention) {
   for (std::size_t i = 0; i < reader.size(); ++i) {
     EXPECT_EQ(reader.samples()[i], make_sample(static_cast<int>(i) + 12));
   }
-  TelemetryQueryEngine engine;
-  engine.add_archive("self", healed);
-  EXPECT_TRUE(engine.has_rollups("self"));
   std::filesystem::remove_all(dir);
 }
 
@@ -528,6 +530,80 @@ TEST(SelfMonitor, SamplingIsResultNeutral) {
     EXPECT_EQ(off_bytes, on_bytes) << "target " << name;
   }
   std::filesystem::remove_all(base);
+}
+
+TEST(SelfMonitor, EventTailMatchesCopyThenFilterWhenTheRingOverflows) {
+  TelemetryConfig telemetry_config;
+  telemetry_config.enabled = true;
+  telemetry_config.max_events = 4;  // smaller than most cycles' events
+  Telemetry telemetry(telemetry_config);
+  SelfMonitorConfig config;
+  config.enabled = true;
+  SelfMonitor self(config, &telemetry);
+
+  // The tail as sampling took it before EventLog::snapshot had a from_seq:
+  // copy the whole ring, keep what the previous sample had not seen.
+  std::uint64_t copy_next_seq = 0;
+  const auto copy_then_filter = [&] {
+    std::vector<TelemetryEvent> tail;
+    for (TelemetryEvent& event : telemetry.events().snapshot()) {
+      if (event.seq < copy_next_seq) continue;
+      copy_next_seq = event.seq + 1;
+      tail.push_back(std::move(event));
+    }
+    return tail;
+  };
+
+  std::uint64_t logged = 0;
+  std::uint64_t next_seq = 0;
+  for (const int events_this_cycle : {0, 3, 4, 7, 1, 0, 10, 2, 5}) {
+    for (int e = 0; e < events_this_cycle; ++e) {
+      telemetry.events().log(EventLevel::info, "tick",
+                             sim::TimePoint::from_ms(static_cast<std::int64_t>(logged)),
+                             {{"n", std::to_string(logged)}});
+      ++logged;
+    }
+    const std::vector<TelemetryEvent> expected = copy_then_filter();
+    const sim::TimePoint now =
+        sim::TimePoint::from_ms(static_cast<std::int64_t>(self.samples().size()) * 1000);
+    self.sample(now);
+    const std::vector<TelemetryEvent>& tail = self.samples().back().events;
+    EXPECT_EQ(tail, expected) << "sample at " << now.total_ms();
+    EXPECT_LE(tail.size(), telemetry_config.max_events);
+    for (const TelemetryEvent& event : tail) {
+      EXPECT_GE(event.seq, next_seq) << "event sampled twice or out of order";
+      next_seq = event.seq + 1;
+    }
+  }
+  EXPECT_EQ(telemetry.events().total_logged(), logged);
+  EXPECT_EQ(telemetry.events().dropped(), logged - telemetry.events().size());
+
+  // The offset arithmetic at the ring's edges.
+  const std::vector<TelemetryEvent> ring = telemetry.events().snapshot();
+  ASSERT_EQ(ring.size(), 4u);
+  EXPECT_EQ(telemetry.events().snapshot(ring.front().seq), ring);
+  EXPECT_EQ(telemetry.events().snapshot(ring.back().seq),
+            std::vector<TelemetryEvent>{ring.back()});
+  EXPECT_TRUE(telemetry.events().snapshot(ring.back().seq + 1).empty());
+}
+
+TEST(SelfMonitorConfig, ValidateNamesTheOffendingRule) {
+  SelfMonitorConfig config;
+  config.rules = default_self_rules();
+  EXPECT_NO_THROW(config.validate());  // no rule carries its own extract
+
+  config.rules.back().value = nullptr;
+  try {
+    config.validate();
+    ADD_FAILURE() << "a rule without a value extractor validated";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_EQ(std::string(error.what()),
+              "SelfRule '" + config.rules.back().rule.name + "' has no value extractor");
+  }
+
+  config.rules = default_self_rules();
+  config.rules.front().rule.window = 0;
+  EXPECT_THROW(config.validate(), std::invalid_argument);
 }
 
 // --- Thread safety (run under the tsan preset) -------------------------------

@@ -1,4 +1,4 @@
-// On-disk format goldens. The `.marc`, `.mroll`, `.mtel` and `.mtrl` bytes
+// On-disk format goldens. The `.marc`, `.mroll` and `.mtel` bytes
 // written for fixed inputs are pinned by the files under tests/golden/, and
 // those files must keep decoding to the same inputs: an archive written by an
 // older build stays readable, and a refactor of the framing, the record
@@ -225,7 +225,7 @@ TelemetrySample mtel_sample(int i) {
 
 constexpr int kMtelSamples = 14;
 
-/// Writes the four goldens' worth of files into `dir`.
+/// Writes every golden file into `dir`.
 void write_formats(const fs::path& dir) {
   const std::vector<Snapshot> history = marc_history();
   ArchiveOptions options;
@@ -268,7 +268,7 @@ TEST(FormatGolden, WritersReproduceTheGoldenBytes) {
   write_formats(dir);
   if (std::getenv("MANTRA_UPDATE_GOLDEN") != nullptr) fs::create_directories(golden(""));
   for (const char* name : {"fixw.marc", "fixw_compacted.marc", "fixw_compacted.mroll",
-                           "self.mtel", "self_compacted.mtel", "self_compacted.mtrl"}) {
+                           "self.mtel", "self_compacted.mtel"}) {
     expect_matches_golden(dir / name, name);
   }
   fs::remove_all(dir);
@@ -343,17 +343,6 @@ TEST(FormatGolden, GoldenTelemetryDecodesToItsInputs) {
   for (std::size_t i = 0; i < compacted.size(); ++i) {
     EXPECT_EQ(compacted.samples()[i], mtel_sample(static_cast<int>(i) + 2));
   }
-
-  const std::optional<TelemetryRollupSidecar> sidecar =
-      load_telemetry_rollup_sidecar(golden("self_compacted.mtrl").string());
-  ASSERT_TRUE(sidecar.has_value());
-  const TelemetryRollupSidecar rebuilt = build_telemetry_rollups(compacted);
-  EXPECT_EQ(sidecar->source, rebuilt.source);
-  EXPECT_EQ(sidecar->series, rebuilt.series);
-  TelemetryQueryEngine engine;
-  engine.add_archive("self", golden("self_compacted.mtel").string());
-  EXPECT_TRUE(engine.has_rollups("self"));
-  EXPECT_EQ(engine.rollups_rejected(), 0u);
 }
 
 // --- Torn tails and damaged sidecars -----------------------------------------
@@ -479,10 +468,6 @@ TEST(FormatGolden, DamagedGoldenSidecarsLoadAsAbsent) {
                        [](const std::string& path) {
                          return load_rollup_sidecar(path).has_value();
                        });
-  sweep_sidecar_damage(read_bytes(golden("self_compacted.mtrl")), dir / "s.mtrl",
-                       [](const std::string& path) {
-                         return load_telemetry_rollup_sidecar(path).has_value();
-                       });
   fs::remove_all(dir);
 }
 
@@ -544,10 +529,6 @@ TEST(FormatGolden, SeededMutationsNeverEscapeTheReaders) {
   };
   fuzz_sidecar(read_bytes(golden("fixw_compacted.mroll")), dir / "f.mroll",
                [](const std::string& path) { return load_rollup_sidecar(path).has_value(); });
-  fuzz_sidecar(read_bytes(golden("self_compacted.mtrl")), dir / "f.mtrl",
-               [](const std::string& path) {
-                 return load_telemetry_rollup_sidecar(path).has_value();
-               });
   fs::remove_all(dir);
 }
 
