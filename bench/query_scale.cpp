@@ -6,13 +6,19 @@
 //      sidecar vs the same query forced down the raw delta-scan path. The
 //      paper's readers ask coarse questions about months of history; the
 //      sidecar must make those queries cheap regardless of capture rate.
-//   2. client scaling: 1 / 8 / 64 simulated clients hammering one shared
+//   2. raw cost per metric: the median time of a 12-hour raw drill-down
+//      for each query metric, the same seeded windows for every metric,
+//      every key-frame already cached. A raw scan decodes only the table
+//      its metric reads, and the metadata metrics decode nothing, so the
+//      metrics differ by what they decode and derive.
+//   3. client scaling: 1 / 8 / 64 simulated clients hammering one shared
 //      QueryEngine with a mixed workload (raw range scans over random
 //      windows + coarse rollup queries), reporting aggregate queries/sec
 //      and the block-cache hit rate.
 //
 // Emits BENCH_query_scale.json at the repo root (MANTRA_REPO_ROOT baked in
-// at configure time). Scale knobs:
+// at configure time), with the host facts (cores, build type, compiler) the
+// numbers were measured on. Scale knobs:
 //   MANTRA_QUERY_SCALE_DAYS           archive span in days (default 90)
 //   MANTRA_QUERY_SCALE_CLIENTS        largest client count (default 64)
 //   MANTRA_QUERY_SCALE_QUERIES        queries per client per measurement
@@ -22,6 +28,8 @@
 //                                     query is >= 10x faster than the raw
 //                                     scan and the cache hit rate at the
 //                                     largest client count exceeds 50%
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -133,6 +141,16 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
+/// Raw drill-down: a random half-day window at raw resolution.
+void set_raw_window(core::Query& query, std::mt19937& rng, std::int64_t span_ms) {
+  const std::int64_t window = 12 * core::kHourMs;
+  const std::int64_t from =
+      static_cast<std::int64_t>(rng()) % std::max<std::int64_t>(span_ms - window, 1);
+  query.resolution = core::QueryResolution::raw;
+  query.from = sim::TimePoint::from_ms(from);
+  query.to = sim::TimePoint::from_ms(from + window);
+}
+
 /// The mixed per-client workload: mostly coarse dashboard questions (rollup
 /// territory) with a minority of raw drill-downs over random 12-hour
 /// windows (cache territory).
@@ -142,13 +160,7 @@ core::Query random_query(std::mt19937& rng, std::int64_t span_ms) {
   query.metric = static_cast<core::QueryMetric>(rng() % core::kQueryMetricCount);
   const int kind = static_cast<int>(rng() % 4);
   if (kind == 0) {
-    // Raw drill-down: a random half-day window.
-    const std::int64_t window = 12 * core::kHourMs;
-    const std::int64_t from =
-        static_cast<std::int64_t>(rng()) % std::max<std::int64_t>(span_ms - window, 1);
-    query.resolution = core::QueryResolution::raw;
-    query.from = sim::TimePoint::from_ms(from);
-    query.to = sim::TimePoint::from_ms(from + window);
+    set_raw_window(query, rng, span_ms);
   } else {
     // Coarse sweep over the whole archive.
     query.resolution = kind == 1 ? core::QueryResolution::day
@@ -239,7 +251,40 @@ int main() {
                static_cast<unsigned long long>(raw_result.records_decoded),
                speedup, equivalent ? "yes" : "NO");
 
-  // --- Measurement 2: client scaling ---------------------------------------
+  // --- Measurement 2: raw drill-down cost per metric -----------------------
+  // Every key-frame is cached first, so each query pays for its own table
+  // decode and derivation, not for cache misses.
+  const core::ArchiveReader& reader = *engine.reader("fixw");
+  for (std::size_t i = 0; i < reader.size(); ++i) {
+    if (!reader.keyframe_at(i)) continue;
+    core::Query warm;
+    warm.target = "fixw";
+    warm.metric = core::QueryMetric::dvmrp_routes;
+    warm.from = warm.to = reader.time_at(i);
+    (void)engine.run(warm);
+  }
+  constexpr int kRawSamples = 101;
+  std::array<double, core::kQueryMetricCount> raw_us{};
+  for (std::size_t m = 0; m < core::kQueryMetricCount; ++m) {
+    std::mt19937 rng(9001);  // the same windows for every metric
+    std::vector<double> samples;
+    samples.reserve(kRawSamples);
+    for (int q = 0; q < kRawSamples; ++q) {
+      core::Query query;
+      query.target = "fixw";
+      query.metric = static_cast<core::QueryMetric>(m);
+      set_raw_window(query, rng, span_ms);
+      started = std::chrono::steady_clock::now();
+      (void)engine.run(query);
+      samples.push_back(seconds_since(started) * 1e6);
+    }
+    std::nth_element(samples.begin(), samples.begin() + kRawSamples / 2, samples.end());
+    raw_us[m] = samples[kRawSamples / 2];
+    std::fprintf(stderr, "raw 12-hour %-24s median %8.1fus\n",
+                 core::to_string(static_cast<core::QueryMetric>(m)), raw_us[m]);
+  }
+
+  // --- Measurement 3: client scaling ---------------------------------------
   std::vector<ClientMeasurement> sweep;
   for (const int clients : {1, 8, 64}) {
     if (clients > max_clients) break;
@@ -285,16 +330,28 @@ int main() {
   std::ofstream json(json_path);
   char line[512];
   std::snprintf(line, sizeof line,
-                "{\n  \"bench\": \"query_scale\",\n  \"archive_days\": %d,\n"
+                "{\n  \"bench\": \"query_scale\",\n"
+                "  \"host\": {\"nproc\": %u, \"build_type\": \"%s\", "
+                "\"compiler\": \"%s\"},\n"
+                "  \"archive_days\": %d,\n"
                 "  \"cycles\": %zu,\n  \"queries_per_client\": %d,\n"
                 "  \"rollup\": {\"rollup_ms\": %.4f, \"raw_ms\": %.3f, "
                 "\"speedup\": %.1f, \"raw_records_decoded\": %llu, "
-                "\"identical\": %s},\n  \"clients\": [\n",
-                days, cycles, queries_per_client, rollup_s * 1e3, raw_s * 1e3,
-                speedup,
+                "\"identical\": %s},\n",
+                std::max(1u, std::thread::hardware_concurrency()),
+                MANTRA_BENCH_BUILD_TYPE, MANTRA_BENCH_COMPILER, days, cycles,
+                queries_per_client, rollup_s * 1e3, raw_s * 1e3, speedup,
                 static_cast<unsigned long long>(raw_result.records_decoded),
                 equivalent ? "true" : "false");
   json << line;
+  json << "  \"raw_by_metric\": {\"window_hours\": 12, \"queries\": " << kRawSamples
+       << ", \"median_us\": {";
+  for (std::size_t m = 0; m < core::kQueryMetricCount; ++m) {
+    std::snprintf(line, sizeof line, "%s\"%s\": %.1f", m == 0 ? "" : ", ",
+                  core::to_string(static_cast<core::QueryMetric>(m)), raw_us[m]);
+    json << line;
+  }
+  json << "}},\n  \"clients\": [\n";
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const ClientMeasurement& m = sweep[i];
     std::snprintf(line, sizeof line,

@@ -37,7 +37,9 @@ std::int64_t delta_of(std::uint32_t value, std::uint32_t& prev) {
 }
 
 std::uint32_t undelta(std::int64_t d, std::uint32_t& prev) {
-  prev = static_cast<std::uint32_t>(static_cast<std::int64_t>(prev) + d);
+  // Unsigned, so a damaged difference wraps instead of overflowing; the low
+  // 32 bits are the same either way.
+  prev = static_cast<std::uint32_t>(prev + static_cast<std::uint64_t>(d));
   return prev;
 }
 
@@ -141,6 +143,85 @@ MbgpRow decode_row_mbgp(Cursor& in, KeyChain& chain) {
   return row;
 }
 
+// --- Row skippers ----------------------------------------------------------
+// A projected decode moves past the sections it was not asked for. Each
+// skipper reads exactly the bytes its decoder reads, bounds-checked, and
+// builds nothing, so every requested section starts where the full decode
+// finds it. A skipper validates less than its decoder (prefix lengths are
+// not range-checked), so damage in a skipped section may go unnoticed.
+
+void skip_varints(Cursor& in, int count) {
+  for (int i = 0; i < count; ++i) in.varint();
+}
+
+void skip_pair_key(Cursor& in) { skip_varints(in, 2); }
+
+void skip_prefix_key(Cursor& in) {
+  in.varint();
+  in.skip(1);  // prefix length
+}
+
+void skip_row_pair(Cursor& in) {
+  skip_pair_key(in);
+  in.skip(16);          // current and average kbps
+  skip_varints(in, 2);  // packets, uptime
+}
+
+void skip_row_route(Cursor& in) {
+  skip_prefix_key(in);
+  in.varint();          // next hop
+  in.skip_string();     // interface
+  skip_varints(in, 2);  // metric, uptime
+  in.skip(1);           // holddown
+}
+
+void skip_row_sa(Cursor& in) {
+  skip_pair_key(in);
+  skip_varints(in, 3);  // origin RP, peer, age
+}
+
+void skip_row_mbgp(Cursor& in) {
+  skip_prefix_key(in);
+  in.varint();       // next hop
+  in.skip_string();  // AS path
+}
+
+/// How one raw table's rows and keys are read, found by row type.
+template <typename Row>
+struct RowCodec;
+
+template <>
+struct RowCodec<PairRow> {
+  static constexpr auto decode_row = decode_row_pair;
+  static constexpr auto decode_key = decode_pair_key;
+  static constexpr auto skip_row = skip_row_pair;
+  static constexpr auto skip_key = skip_pair_key;
+};
+
+template <>
+struct RowCodec<RouteRow> {
+  static constexpr auto decode_row = decode_row_route;
+  static constexpr auto decode_key = decode_prefix_key;
+  static constexpr auto skip_row = skip_row_route;
+  static constexpr auto skip_key = skip_prefix_key;
+};
+
+template <>
+struct RowCodec<SaRow> {
+  static constexpr auto decode_row = decode_row_sa;
+  static constexpr auto decode_key = decode_pair_key;
+  static constexpr auto skip_row = skip_row_sa;
+  static constexpr auto skip_key = skip_pair_key;
+};
+
+template <>
+struct RowCodec<MbgpRow> {
+  static constexpr auto decode_row = decode_row_mbgp;
+  static constexpr auto decode_key = decode_prefix_key;
+  static constexpr auto skip_row = skip_row_mbgp;
+  static constexpr auto skip_key = skip_prefix_key;
+};
+
 // --- Table / delta codecs --------------------------------------------------
 
 template <typename Row>
@@ -174,19 +255,49 @@ template <typename Row, typename DecodeRow, typename DecodeKey>
 typename Table<Row>::Delta decode_delta(Cursor& in, DecodeRow decode_row,
                                         DecodeKey decode_key) {
   typename Table<Row>::Delta delta;
+  // Every row takes at least one byte, so a damaged count cannot reserve
+  // more than the payload holds.
   const std::uint64_t upserts = in.varint();
   KeyChain upsert_chain;
-  delta.upserts.reserve(upserts);
+  delta.upserts.reserve(std::min<std::uint64_t>(upserts, in.remaining()));
   for (std::uint64_t i = 0; i < upserts; ++i) {
     delta.upserts.push_back(decode_row(in, upsert_chain));
   }
   const std::uint64_t removals = in.varint();
   KeyChain removal_chain;
-  delta.removals.reserve(removals);
+  delta.removals.reserve(std::min<std::uint64_t>(removals, in.remaining()));
   for (std::uint64_t i = 0; i < removals; ++i) {
     delta.removals.push_back(decode_key(in, removal_chain));
   }
   return delta;
+}
+
+/// Reads a count and moves past that many rows (or keys).
+void skip_rows(Cursor& in, void (*skip)(Cursor&)) {
+  const std::uint64_t count = in.varint();
+  for (std::uint64_t i = 0; i < count; ++i) skip(in);
+}
+
+/// One raw table's section of a record: a key-frame's whole table, or a
+/// delta's upserts and removals. A `wanted` section replaces `table` (key-
+/// frame) or rolls it forward by `dt` and applies the changes (delta); any
+/// other section is skipped and `table` is left alone.
+template <typename Row>
+void read_section(Cursor& in, bool keyframe, bool wanted, Table<Row>& table,
+                  sim::Duration dt) {
+  using Codec = RowCodec<Row>;
+  if (!wanted) {
+    skip_rows(in, Codec::skip_row);
+    if (!keyframe) skip_rows(in, Codec::skip_key);
+  } else if (keyframe) {
+    table = decode_table<Row>(in, Codec::decode_row);
+  } else {
+    // Derived fields (uptimes, averages, counters) roll forward by the
+    // inter-cycle gap, then the delta overwrites the rows that actually
+    // changed with exact values — the same recurrence core/log replays.
+    table.advance_derived(dt);
+    table.apply(decode_delta<Row>(in, Codec::decode_row, Codec::decode_key));
+  }
 }
 
 // --- Record codec ----------------------------------------------------------
@@ -421,44 +532,38 @@ std::size_t ArchiveReader::keyframe_index_before(std::size_t index) const {
   return index_.at(index).last_keyframe;
 }
 
-void ArchiveReader::apply_cycle(std::size_t index, Snapshot& state) const {
+void ArchiveReader::apply_cycle(std::size_t index, Snapshot& state,
+                                TableMask tables) const {
   if (index >= index_.size()) {
     throw std::out_of_range("ArchiveReader: cycle index out of range");
   }
   // A key-frame replaces state outright, so it needs no seed; a delta's
   // seed is the caller-provided previous cycle (the documented contract).
   bool seeded = !index_[index].keyframe;
-  decode_into(index_[index], state, seeded);
+  decode_into(index_[index], state, seeded, tables);
 }
 
 void ArchiveReader::decode_into(const IndexEntry& entry, Snapshot& state,
-                                bool& seeded) const {
+                                bool& seeded, TableMask tables) const {
   records_decoded_.fetch_add(1, std::memory_order_relaxed);
   Cursor cursor{log_.bytes.data() + entry.payload_offset, entry.payload_size};
   const RecordHeader header = decode_record_header(cursor);
-  if (entry.keyframe) {
-    state.pairs = decode_table<PairRow>(cursor, decode_row_pair);
-    state.routes = decode_table<RouteRow>(cursor, decode_row_route);
-    state.sa_cache = decode_table<SaRow>(cursor, decode_row_sa);
-    state.mbgp_routes = decode_table<MbgpRow>(cursor, decode_row_mbgp);
-  } else {
-    if (!seeded) throw std::runtime_error("archive delta before any key-frame");
-    // Derived fields (uptimes, averages, counters) roll forward by the
-    // inter-cycle gap, then the delta overwrites the rows that actually
-    // changed with exact values — the same recurrence core/log replays.
-    const sim::Duration dt =
-        sim::TimePoint::from_ms(header.t_ms) - state.captured;
-    state.pairs.advance_derived(dt);
-    state.routes.advance_derived(dt);
-    state.sa_cache.advance_derived(dt);
-    state.pairs.apply(
-        decode_delta<PairRow>(cursor, decode_row_pair, decode_pair_key));
-    state.routes.apply(
-        decode_delta<RouteRow>(cursor, decode_row_route, decode_prefix_key));
-    state.sa_cache.apply(decode_delta<SaRow>(cursor, decode_row_sa, decode_pair_key));
-    state.mbgp_routes.apply(
-        decode_delta<MbgpRow>(cursor, decode_row_mbgp, decode_prefix_key));
+  if (!entry.keyframe && !seeded) {
+    throw std::runtime_error("archive delta before any key-frame");
   }
+  const sim::Duration dt = entry.keyframe
+                               ? sim::Duration{}
+                               : sim::TimePoint::from_ms(header.t_ms) - state.captured;
+  // Sections are stored in mask-bit order, so one past the highest
+  // requested bit is never read.
+  const auto section = [&](TableMask table, auto& rows) {
+    if (tables < table) return;
+    read_section(cursor, entry.keyframe, (tables & table) != 0, rows, dt);
+  };
+  section(kPairsTable, state.pairs);
+  section(kRoutesTable, state.routes);
+  section(kSaTable, state.sa_cache);
+  section(kMbgpTable, state.mbgp_routes);
   state.router_name = header.router_name;
   state.captured = sim::TimePoint::from_ms(header.t_ms);
   seeded = true;

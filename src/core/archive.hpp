@@ -53,6 +53,16 @@ struct ArchiveCycleMeta {
   friend bool operator==(const ArchiveCycleMeta&, const ArchiveCycleMeta&) = default;
 };
 
+/// A record's four raw tables as bits, in the order their sections are
+/// stored: the projection ArchiveReader::apply_cycle decodes.
+using TableMask = std::uint8_t;
+inline constexpr TableMask kPairsTable = 1u << 0;
+inline constexpr TableMask kRoutesTable = 1u << 1;
+inline constexpr TableMask kSaTable = 1u << 2;
+inline constexpr TableMask kMbgpTable = 1u << 3;
+inline constexpr TableMask kAllTables =
+    kPairsTable | kRoutesTable | kSaTable | kMbgpTable;
+
 struct ArchiveOptions {
   bool store_deltas = true;     ///< ablation: false = every record a key-frame
   int keyframe_interval = 96;   ///< full snapshot every N cycles (>= 1)
@@ -144,12 +154,17 @@ class ArchiveReader {
   [[nodiscard]] std::size_t keyframe_index_before(std::size_t index) const;
 
   /// Low-level single-record decode, the building block range scans
-  /// (core/query) compose with a block cache. Applies record `index` to
-  /// `state`: a key-frame replaces the four raw tables outright (`state` may
-  /// be empty); a delta rolls `state`'s derived fields forward and applies
-  /// the changes, so for deltas `state` MUST hold cycle `index - 1`. Derived
-  /// tables (participants/sessions) are never touched.
-  void apply_cycle(std::size_t index, Snapshot& state) const;
+  /// (core/query) compose with a block cache. Applies record `index` to the
+  /// `tables` of `state`: a key-frame replaces them outright (`state` may be
+  /// empty); a delta rolls their derived fields forward and applies the
+  /// changes, so for deltas those tables of `state` MUST hold cycle
+  /// `index - 1`. The other raw tables' sections are skipped without
+  /// building rows, and decoding stops after the last requested section, so
+  /// damage in a section the projection skips may go unnoticed. Tables
+  /// outside `tables` and the derived tables (participants/sessions) are
+  /// never touched; the router name and capture time always are.
+  void apply_cycle(std::size_t index, Snapshot& state,
+                   TableMask tables = kAllTables) const;
 
   /// Record payloads decoded since open (diagnostics: key-frame pruning and
   /// rollup short-circuits are provable as "this query decoded N records").
@@ -183,7 +198,8 @@ class ArchiveReader {
     ArchiveCycleMeta meta;
   };
 
-  void decode_into(const IndexEntry& entry, Snapshot& state, bool& seeded) const;
+  void decode_into(const IndexEntry& entry, Snapshot& state, bool& seeded,
+                   TableMask tables = kAllTables) const;
 
   FramedLog log_;  ///< entire file contents and what opening it recovered
   std::vector<IndexEntry> index_;

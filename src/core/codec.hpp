@@ -55,8 +55,17 @@ struct Cursor {
   std::size_t size;
   std::size_t pos = 0;
 
-  void need(std::size_t n) const {
-    if (pos + n > size) throw std::runtime_error("codec payload overrun");
+  /// Throws unless `n` more bytes remain. Compared against the remainder,
+  /// never as `pos + n`: a hostile varint length near 2^64 would wrap that
+  /// sum and pass.
+  void need(std::uint64_t n) const {
+    if (n > size - pos) throw std::runtime_error("codec payload overrun");
+  }
+  [[nodiscard]] std::size_t remaining() const { return size - pos; }
+  /// Moves past `n` bytes without reading them.
+  void skip(std::uint64_t n) {
+    need(n);
+    pos += n;
   }
   std::uint8_t u8() {
     need(1);
@@ -104,6 +113,8 @@ struct Cursor {
     pos += length;
     return out;
   }
+  /// Moves past a length-prefixed string without building it.
+  void skip_string() { skip(varint()); }
 };
 
 }  // namespace mantra::core::codec

@@ -64,16 +64,6 @@ std::size_t count_valid_routes(const RouteTable& routes) {
   return valid;
 }
 
-bool needs_sessions(QueryMetric metric) {
-  return metric == QueryMetric::sessions ||
-         metric == QueryMetric::active_sessions ||
-         metric == QueryMetric::unicast_equivalent_kbps;
-}
-
-bool needs_participants(QueryMetric metric) {
-  return metric == QueryMetric::participants || metric == QueryMetric::senders;
-}
-
 /// One metric for one cycle. `sessions`/`participants` are consulted only
 /// for the metrics that need them (pass empty tables otherwise);
 /// `route_changes` is the precomputed diff count against the previous cycle.
@@ -114,6 +104,45 @@ double metric_value(QueryMetric metric, const Snapshot& raw,
       return static_cast<double>(meta.collection_latency.total_ms());
   }
   return 0.0;  // unreachable: the switch is exhaustive
+}
+
+/// What one metric reads from an archived cycle: the raw tables a raw scan
+/// decodes and the derivations it runs on them. A metric that reads no
+/// table is answered from the reader's index (meta_at/time_at) alone.
+struct MetricNeeds {
+  TableMask tables = 0;
+  bool sessions = false;
+  bool participants = false;
+};
+
+/// Indexed by QueryMetric; must agree with metric_value above.
+constexpr std::array<MetricNeeds, kQueryMetricCount> kMetricNeeds = {{
+    {kPairsTable, true, false},    // sessions
+    {kPairsTable, false, true},    // participants
+    {kPairsTable, true, false},    // active_sessions
+    {kPairsTable, false, true},    // senders
+    {kPairsTable, false, false},   // bandwidth_kbps
+    {kPairsTable, true, false},    // unicast_equivalent_kbps
+    {kRoutesTable, false, false},  // dvmrp_routes
+    {kRoutesTable, false, false},  // dvmrp_valid_routes
+    {kRoutesTable, false, false},  // route_changes
+    {kSaTable, false, false},      // sa_entries
+    {kMbgpTable, false, false},    // mbgp_routes
+    {},                            // parse_warnings
+    {},                            // stale
+    {},                            // collection_failures
+    {},                            // collection_latency_ms
+}};
+
+/// Copies the `tables` of a cached key-frame (and its name and time) into
+/// the scan state, leaving the other tables alone.
+void copy_tables(const Snapshot& block, TableMask tables, Snapshot& state) {
+  state.router_name = block.router_name;
+  state.captured = block.captured;
+  if ((tables & kPairsTable) != 0) state.pairs = block.pairs;
+  if ((tables & kRoutesTable) != 0) state.routes = block.routes;
+  if ((tables & kSaTable) != 0) state.sa_cache = block.sa_cache;
+  if ((tables & kMbgpTable) != 0) state.mbgp_routes = block.mbgp_routes;
 }
 
 }  // namespace
@@ -568,23 +597,24 @@ QueryResult QueryEngine::run_rollup(const Source& source, const Query& query,
 }
 
 void QueryEngine::fetch_block(const Source& source, std::size_t index,
-                              Snapshot& state, QueryResult& result) const {
+                              TableMask tables, Snapshot& state,
+                              QueryResult& result) const {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(source.id) << 32) | index;
-  if (std::shared_ptr<const Snapshot> cached = cache_.get(key)) {
+  std::shared_ptr<const Snapshot> block = cache_.get(key);
+  if (block) {
     ++result.cache_hits;
-    state = *cached;
-    return;
+  } else {
+    ++result.cache_misses;
+    // The cache granule is the whole key-frame, whatever this scan reads,
+    // so a later query for any metric hits. Raw tables only: derived
+    // tables are re-derived per metric.
+    Snapshot decoded;
+    source.reader->apply_cycle(index, decoded);
+    ++result.records_decoded;
+    block = cache_.insert(key, std::move(decoded));
   }
-  ++result.cache_misses;
-  source.reader->apply_cycle(index, state);
-  ++result.records_decoded;
-  // Cache the raw tables only: derived tables are re-derived per metric, and
-  // stripping them keeps the byte budget honest.
-  Snapshot block = state;
-  block.participants.clear();
-  block.sessions.clear();
-  cache_.insert(key, std::move(block));
+  copy_tables(*block, tables, state);
 }
 
 QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
@@ -598,15 +628,17 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
       reader.index_at_or_before(sim::TimePoint::from_ms(window.to_ms));
   if (!last || *last < *first) return result;
 
+  const MetricNeeds& needs = kMetricNeeds[static_cast<std::size_t>(query.metric)];
+  const bool decode = needs.tables != 0;
   const bool track_routes = query.metric == QueryMetric::route_changes;
   // route_changes at cycle i diffs against cycle i-1, so the scan must have
   // materialized the predecessor: start one cycle early when it exists.
   const std::size_t first_needed =
       track_routes && *first > 0 ? *first - 1 : *first;
-  const std::size_t start = reader.keyframe_index_before(first_needed);
+  // A metadata metric decodes nothing, so it starts at the range itself.
+  const std::size_t start =
+      decode ? reader.keyframe_index_before(first_needed) : *first;
 
-  const bool want_sessions = needs_sessions(query.metric);
-  const bool want_participants = needs_participants(query.metric);
   Snapshot state;
   SessionTable sessions;
   ParticipantTable participants;
@@ -616,10 +648,10 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
   PointFolder points(window, query.aggregate, result.points);
 
   for (std::size_t i = start; i <= *last; ++i) {
-    if (i == start) {
-      fetch_block(source, i, state, result);  // always a key-frame
-    } else {
-      reader.apply_cycle(i, state);
+    if (decode && i == start) {
+      fetch_block(source, i, needs.tables, state, result);  // always a key-frame
+    } else if (decode) {
+      reader.apply_cycle(i, state, needs.tables);
       ++result.records_decoded;
     }
     std::size_t route_changes = 0;
@@ -639,10 +671,10 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
     if (!query.include_stale && meta.stale) continue;
     if (!query.include_failed && meta.collection_failures > 0) continue;
 
-    if (want_sessions) {
+    if (needs.sessions) {
       derive_sessions_into(state.pairs, options_.sender_threshold_kbps, sessions);
     }
-    if (want_participants) {
+    if (needs.participants) {
       derive_participants_into(state.pairs, options_.sender_threshold_kbps,
                                participants);
     }
@@ -650,7 +682,7 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
                                       participants, route_changes);
     if (query.min_value && value < *query.min_value) continue;
     if (query.max_value && value > *query.max_value) continue;
-    points.add(state.captured.total_ms(), value);
+    points.add(reader.time_at(i).total_ms(), value);
   }
   points.finish();
   return result;
@@ -669,7 +701,7 @@ ReplayRun QueryEngine::replay(const std::string& target,
   QueryResult scratch;  // counter sink; replay reports through the cache stats
   for (std::size_t i = 0; i < reader.size(); ++i) {
     if (reader.keyframe_at(i)) {
-      fetch_block(*source, i, state, scratch);
+      fetch_block(*source, i, kAllTables, state, scratch);
     } else {
       reader.apply_cycle(i, state);
     }

@@ -12,9 +12,13 @@
 //     a target, a metric, a range and optional filters (min/max value,
 //     exclude-stale, exclude-failed); the scan decodes only the key-frame
 //     blocks the range touches (O(1) back-pointer into the governing
-//     key-frame, never a walk of the whole file) and computes only what the
-//     requested metric needs (usage derivation is skipped for route-count
-//     queries, route diffs are skipped unless route_changes is asked for).
+//     key-frame, never a walk of the whole file), and of each record only
+//     the one raw table its metric reads (a table projection of the
+//     record decode). It computes only what the metric needs: usage
+//     derivation is skipped for route-count queries, route diffs unless
+//     route_changes is asked for, and the four metadata metrics
+//     (parse_warnings, stale, collection_failures, collection_latency_ms)
+//     are answered from the reader's index without decoding a record.
 //   * Materialized rollups — per-hour and per-day {count,min,max,sum,last}
 //     aggregates of every metric, built at `compact_archive` time (or
 //     explicitly via build_rollups) and persisted as a `.mroll` sidecar next
@@ -284,7 +288,9 @@ struct QueryPoint {
 struct QueryResult {
   std::vector<QueryPoint> points;
   bool from_rollup = false;        ///< answered without touching the archive
-  std::uint64_t records_decoded = 0;   ///< archive payload decodes this query
+  /// Archive payload decodes this query, projected or full; 0 for a
+  /// metadata metric, which reads only the reader's index.
+  std::uint64_t records_decoded = 0;
   std::uint64_t rollup_buckets = 0;    ///< sidecar buckets consulted
   std::uint64_t cache_hits = 0;        ///< key-frame blocks served from cache
   std::uint64_t cache_misses = 0;
@@ -381,9 +387,10 @@ class QueryEngine {
                                        const QueryWindow& window) const;
   [[nodiscard]] QueryResult run_raw(const Source& source, const Query& query,
                                     const QueryWindow& window) const;
-  /// Loads key-frame `index` into `state` through the cache.
-  void fetch_block(const Source& source, std::size_t index, Snapshot& state,
-                   QueryResult& result) const;
+  /// Loads the `tables` of key-frame `index` into `state` through the
+  /// cache; a miss decodes and caches the whole key-frame.
+  void fetch_block(const Source& source, std::size_t index, TableMask tables,
+                   Snapshot& state, QueryResult& result) const;
 
   QueryEngineOptions options_;
   std::vector<std::unique_ptr<Source>> sources_;

@@ -11,6 +11,10 @@
 // random edits (flip, insert, erase, truncate, splice) never escape a reader
 // or cost a record in front of the damage.
 //
+// The `.marc` reader's table projection is held to the full decode here:
+// every golden record under all 16 table masks, and seeded damage to each
+// record re-framed with a valid CRC so that it reaches the record decoder.
+//
 // Regenerate only for an intentional, versioned format change:
 //   MANTRA_UPDATE_GOLDEN=1 ./tests/format_golden_test
 #include <gtest/gtest.h>
@@ -29,6 +33,7 @@
 #include <vector>
 
 #include "core/archive.hpp"
+#include "core/codec.hpp"
 #include "core/query.hpp"
 #include "core/teltrace.hpp"
 #include "fuzz_mutate.hpp"
@@ -471,6 +476,86 @@ TEST(FormatGolden, DamagedGoldenSidecarsLoadAsAbsent) {
   fs::remove_all(dir);
 }
 
+// --- Table projection ----------------------------------------------------------
+
+/// The tables of `mask`, the router name and the capture time of `got` equal
+/// those of `want`.
+void expect_tables_in(TableMask mask, const Snapshot& got, const Snapshot& want,
+                      const std::string& label) {
+  if ((mask & kPairsTable) != 0) {
+    EXPECT_EQ(got.pairs, want.pairs) << label;
+  }
+  if ((mask & kRoutesTable) != 0) {
+    EXPECT_EQ(got.routes, want.routes) << label;
+  }
+  if ((mask & kSaTable) != 0) {
+    EXPECT_EQ(got.sa_cache, want.sa_cache) << label;
+  }
+  if ((mask & kMbgpTable) != 0) {
+    EXPECT_EQ(got.mbgp_routes, want.mbgp_routes) << label;
+  }
+  EXPECT_EQ(got.router_name, want.router_name) << label;
+  EXPECT_EQ(got.captured, want.captured) << label;
+}
+
+TEST(FormatGolden, EveryGoldenRecordDecodesAlikeUnderEveryTableMask) {
+  for (const char* name : {"fixw.marc", "fixw_compacted.marc"}) {
+    const ArchiveReader reader(golden(name).string());
+    ASSERT_GT(reader.size(), 0u) << name;
+    // One running state per mask, each fed only its own projection.
+    std::vector<Snapshot> states(kAllTables + 1);
+    for (std::size_t i = 0; i < reader.size(); ++i) {
+      for (TableMask mask = 0; mask <= kAllTables; ++mask) {
+        reader.apply_cycle(i, states[mask], mask);
+      }
+      // The tables a projection skips are never touched: still empty.
+      Snapshot untouched;
+      untouched.router_name = states[kAllTables].router_name;
+      untouched.captured = states[kAllTables].captured;
+      for (TableMask mask = 0; mask < kAllTables; ++mask) {
+        const std::string label = std::string(name) + " cycle " + std::to_string(i) +
+                                  " mask " + std::to_string(mask);
+        expect_tables_in(mask, states[mask], states[kAllTables], label);
+        expect_tables_in(kAllTables & ~mask, states[mask], untouched, label);
+      }
+    }
+  }
+}
+
+/// A string length that runs past the payload is an overrun, never a wrap
+/// of `pos + length` back inside it, for both the decoder and the skipper.
+TEST(FormatGolden, CodecStringLengthPastThePayloadIsAnOverrun) {
+  const auto expect_overrun = [](const std::string& payload, bool skip) {
+    codec::Cursor cursor{payload.data(), payload.size()};
+    try {
+      if (skip) {
+        cursor.skip_string();
+      } else {
+        (void)cursor.string();
+      }
+      ADD_FAILURE() << "no throw";
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "codec payload overrun");
+    }
+  };
+  const std::string tail = "abcdefgh";
+  std::string huge;
+  codec::put_varint(huge, ~std::uint64_t{0});
+  std::string one_past;
+  codec::put_varint(one_past, tail.size() + 1);
+  for (const bool skip : {false, true}) {
+    expect_overrun(huge + tail, skip);
+    expect_overrun(one_past + tail, skip);
+  }
+  // The exact remainder still fits.
+  std::string exact;
+  codec::put_varint(exact, tail.size());
+  exact += tail;
+  codec::Cursor cursor{exact.data(), exact.size()};
+  cursor.skip_string();
+  EXPECT_EQ(cursor.remaining(), 0u);
+}
+
 // --- Seeded mutations ----------------------------------------------------------
 
 /// Seeded random damage to a golden log: opening it throws only when the
@@ -529,6 +614,73 @@ TEST(FormatGolden, SeededMutationsNeverEscapeTheReaders) {
   };
   fuzz_sidecar(read_bytes(golden("fixw_compacted.mroll")), dir / "f.mroll",
                [](const std::string& path) { return load_rollup_sidecar(path).has_value(); });
+  fs::remove_all(dir);
+}
+
+/// Seeded damage to one record at a time, re-framed with a valid CRC so it
+/// reaches the record decoder, then decoded under all 16 table masks from the
+/// intact previous cycle. Every decode returns or throws a std::exception.
+/// Let j be the first section whose decode throws (4 when the full decode
+/// succeeds): a mask holding j throws, a mask below j succeeds, and every
+/// successful projection's tables in front of j equal the decode of the
+/// sections in front of j.
+TEST(FormatGolden, SeededRecordDamageNeverEscapesAProjection) {
+  const fs::path dir = scratch_dir("mantra_format_projection_fuzz");
+  const fs::path path = dir / "record.marc";
+  const std::string bytes = read_bytes(golden("fixw.marc"));
+  const std::vector<std::uint64_t> boundaries = frame_boundaries(bytes);
+  const ArchiveReader golden_reader(golden("fixw.marc").string());
+  std::mt19937 rng(0x50524a43u);
+  std::size_t decoded = 0;
+  std::size_t full_throws = 0;
+  std::size_t survived_skipped_damage = 0;
+  for (std::size_t k = 0; k + 1 < boundaries.size(); ++k) {
+    const std::string payload =
+        bytes.substr(boundaries[k] + 8, boundaries[k + 1] - boundaries[k] - 8);
+    const Snapshot previous = k == 0 ? Snapshot{} : golden_reader.snapshot(k - 1);
+    for (int i = 0; i < 500; ++i) {
+      write_bytes(path, bytes.substr(0, boundaries[k]) + frame_of(mutate(payload, rng).first));
+      const ArchiveReader reader(path.string());
+      ASSERT_GE(reader.size(), k) << "record " << k << " iteration " << i;
+      if (reader.size() == k) continue;  // the record header itself was hit
+      ++decoded;
+
+      std::vector<Snapshot> states(kAllTables + 1, previous);
+      std::vector<bool> threw(kAllTables + 1, false);
+      for (TableMask mask = 0; mask <= kAllTables; ++mask) {
+        try {
+          reader.apply_cycle(k, states[mask], mask);
+        } catch (const std::exception&) {
+          threw[mask] = true;
+        }
+      }
+      const std::string label =
+          "record " + std::to_string(k) + " iteration " + std::to_string(i);
+      ASSERT_FALSE(threw[0]) << label << ": the header decoded at open";
+      int j = 0;  // first failing section, via the prefix masks 1, 3, 7, 15
+      while (j < 4 && !threw[(2u << j) - 1]) ++j;
+      if (j < 4) ++full_throws;
+      const TableMask front = static_cast<TableMask>((1u << j) - 1);
+      for (TableMask mask = 0; mask <= kAllTables; ++mask) {
+        const std::string at = label + " mask " + std::to_string(mask);
+        if (j < 4 && ((mask >> j) & 1u) != 0) {
+          EXPECT_TRUE(threw[mask]) << at << ": decodes damaged section " << j;
+          continue;
+        }
+        if (mask <= front) {
+          EXPECT_FALSE(threw[mask]) << at;
+        }
+        if (threw[mask]) continue;
+        if (j < 4) ++survived_skipped_damage;
+        expect_tables_in(mask & front, states[mask], states[front], at);
+      }
+    }
+  }
+  // The corpus reached the decoder, some of it broke a section, and some
+  // projections got past a break in a section they skip or never reach.
+  EXPECT_GT(decoded, 1000u);
+  EXPECT_GT(full_throws, 100u);
+  EXPECT_GT(survived_skipped_damage, 100u);
   fs::remove_all(dir);
 }
 
