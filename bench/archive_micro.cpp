@@ -1,8 +1,9 @@
 // Archive write/replay throughput (google-benchmark): cycles/sec through
 // the ArchiveWriter under the delta encoding vs the full-snapshot ablation
-// (bytes/cycle reported for both), plus full-file replay throughput — the
-// costs that bound how many routers one Mantra instance can archive and how
-// fast months of on-disk history grind back through the Data Processor.
+// (bytes/cycle reported for both; each append derives and stores the
+// cycle's result), plus full-file replay throughput — the costs that bound
+// how many routers one Mantra instance can archive and how fast months of
+// on-disk history come back as the live monitor's results.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -101,7 +102,8 @@ BENCHMARK(BM_ArchiveAppend)
     ->ArgNames({"pairs", "delta"})
     ->Iterations(500);  // bounded: the file grows with every iteration
 
-/// Full-file replay: open + stream every cycle through the Data Processor.
+/// Full-file replay: open (which indexes every record's stored result) and
+/// read every cycle's result back.
 void BM_ArchiveReplay(benchmark::State& state) {
   const std::int64_t cycles = state.range(0);
   sim::Rng rng(7);

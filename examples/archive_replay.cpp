@@ -287,9 +287,14 @@ int main(int argc, char** argv) {
   routes.add_series(valid_routes, '*');
   std::printf("Fig 7 — DVMRP valid routes (replayed from archive)\n%s\n",
               routes.render().c_str());
-  std::printf("route changes total: %llu, spike regime resets: %zu\n\n",
-              static_cast<unsigned long long>(replay.route_monitor.total_changes()),
-              replay.spike_regime_resets);
+  std::uint64_t route_changes = 0;
+  std::size_t spikes = 0;
+  for (const core::CycleResult& r : replay.results) {
+    route_changes += r.route_changes;
+    spikes += r.route_spike ? 1 : 0;
+  }
+  std::printf("route changes total: %llu, spike cycles: %zu\n\n",
+              static_cast<unsigned long long>(route_changes), spikes);
 
   // The interactive table, as of the final archived instant.
   const core::Snapshot last = reader.snapshot_at(reader.last_time());
@@ -327,10 +332,6 @@ int main(int argc, char** argv) {
               answer.points.size(),
               answer.from_rollup ? "rollup-served" : "raw scan",
               static_cast<unsigned long long>(answer.records_decoded));
-  const core::BlockCache::Stats cache = engine.cache().stats();
-  std::printf("replay block cache: %llu hits / %llu misses (%zu blocks resident)\n",
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.misses), cache.entries);
 
   int rc = 0;
   if (!report_out.empty() || explain) {

@@ -1,6 +1,7 @@
 #include "core/archive.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -18,9 +19,9 @@ using codec::put_svarint;
 using codec::put_varint;
 
 // "MARC" little-endian. Version 2 added ArchiveCycleMeta::cycle_seq (a
-// varint after the stale byte); old readers reject v2 files cleanly via the
-// header check.
-constexpr FramedLogFormat kFormat{0x4352414Du, 2, ".marc"};
+// varint after the stale byte); version 3 stores each cycle's derived
+// values after the metadata. The header check rejects every other version.
+constexpr FramedLogFormat kFormat{0x4352414Du, 3, ".marc"};
 
 constexpr std::uint8_t kKindKeyframe = 1;
 constexpr std::uint8_t kKindDelta = 2;
@@ -37,9 +38,13 @@ std::int64_t delta_of(std::uint32_t value, std::uint32_t& prev) {
 }
 
 std::uint32_t undelta(std::int64_t d, std::uint32_t& prev) {
-  // Unsigned, so a damaged difference wraps instead of overflowing; the low
-  // 32 bits are the same either way.
-  prev = static_cast<std::uint32_t>(prev + static_cast<std::uint64_t>(d));
+  // A damaged difference would land outside 32 bits: reject it rather than
+  // wrap it into some other address.
+  if (d < -static_cast<std::int64_t>(prev) ||
+      d > static_cast<std::int64_t>(std::numeric_limits<std::uint32_t>::max() - prev)) {
+    throw std::runtime_error("archive address out of range");
+  }
+  prev = static_cast<std::uint32_t>(prev + d);
   return prev;
 }
 
@@ -103,9 +108,9 @@ void encode_row(std::string& out, const RouteRow& row, KeyChain& chain) {
 RouteRow decode_row_route(Cursor& in, KeyChain& chain) {
   RouteRow row;
   row.prefix = decode_prefix_key(in, chain);
-  row.next_hop = net::Ipv4Address(static_cast<std::uint32_t>(in.varint()));
+  row.next_hop = net::Ipv4Address(in.varint_as<std::uint32_t>());
   row.interface = in.string();
-  row.metric = static_cast<int>(in.svarint());
+  row.metric = in.svarint_as<int>();
   row.uptime = sim::Duration::milliseconds(in.svarint());
   row.holddown = in.u8() != 0;
   return row;
@@ -123,8 +128,8 @@ SaRow decode_row_sa(Cursor& in, KeyChain& chain) {
   const SaRow::Key key = decode_pair_key(in, chain);
   row.source = key.first;
   row.group = key.second;
-  row.origin_rp = net::Ipv4Address(static_cast<std::uint32_t>(in.varint()));
-  row.via_peer = net::Ipv4Address(static_cast<std::uint32_t>(in.varint()));
+  row.origin_rp = net::Ipv4Address(in.varint_as<std::uint32_t>());
+  row.via_peer = net::Ipv4Address(in.varint_as<std::uint32_t>());
   row.age = sim::Duration::milliseconds(in.svarint());
   return row;
 }
@@ -138,89 +143,10 @@ void encode_row(std::string& out, const MbgpRow& row, KeyChain& chain) {
 MbgpRow decode_row_mbgp(Cursor& in, KeyChain& chain) {
   MbgpRow row;
   row.prefix = decode_prefix_key(in, chain);
-  row.next_hop = net::Ipv4Address(static_cast<std::uint32_t>(in.varint()));
+  row.next_hop = net::Ipv4Address(in.varint_as<std::uint32_t>());
   row.as_path = in.string();
   return row;
 }
-
-// --- Row skippers ----------------------------------------------------------
-// A projected decode moves past the sections it was not asked for. Each
-// skipper reads exactly the bytes its decoder reads, bounds-checked, and
-// builds nothing, so every requested section starts where the full decode
-// finds it. A skipper validates less than its decoder (prefix lengths are
-// not range-checked), so damage in a skipped section may go unnoticed.
-
-void skip_varints(Cursor& in, int count) {
-  for (int i = 0; i < count; ++i) in.varint();
-}
-
-void skip_pair_key(Cursor& in) { skip_varints(in, 2); }
-
-void skip_prefix_key(Cursor& in) {
-  in.varint();
-  in.skip(1);  // prefix length
-}
-
-void skip_row_pair(Cursor& in) {
-  skip_pair_key(in);
-  in.skip(16);          // current and average kbps
-  skip_varints(in, 2);  // packets, uptime
-}
-
-void skip_row_route(Cursor& in) {
-  skip_prefix_key(in);
-  in.varint();          // next hop
-  in.skip_string();     // interface
-  skip_varints(in, 2);  // metric, uptime
-  in.skip(1);           // holddown
-}
-
-void skip_row_sa(Cursor& in) {
-  skip_pair_key(in);
-  skip_varints(in, 3);  // origin RP, peer, age
-}
-
-void skip_row_mbgp(Cursor& in) {
-  skip_prefix_key(in);
-  in.varint();       // next hop
-  in.skip_string();  // AS path
-}
-
-/// How one raw table's rows and keys are read, found by row type.
-template <typename Row>
-struct RowCodec;
-
-template <>
-struct RowCodec<PairRow> {
-  static constexpr auto decode_row = decode_row_pair;
-  static constexpr auto decode_key = decode_pair_key;
-  static constexpr auto skip_row = skip_row_pair;
-  static constexpr auto skip_key = skip_pair_key;
-};
-
-template <>
-struct RowCodec<RouteRow> {
-  static constexpr auto decode_row = decode_row_route;
-  static constexpr auto decode_key = decode_prefix_key;
-  static constexpr auto skip_row = skip_row_route;
-  static constexpr auto skip_key = skip_prefix_key;
-};
-
-template <>
-struct RowCodec<SaRow> {
-  static constexpr auto decode_row = decode_row_sa;
-  static constexpr auto decode_key = decode_pair_key;
-  static constexpr auto skip_row = skip_row_sa;
-  static constexpr auto skip_key = skip_pair_key;
-};
-
-template <>
-struct RowCodec<MbgpRow> {
-  static constexpr auto decode_row = decode_row_mbgp;
-  static constexpr auto decode_key = decode_prefix_key;
-  static constexpr auto skip_row = skip_row_mbgp;
-  static constexpr auto skip_key = skip_prefix_key;
-};
 
 // --- Table / delta codecs --------------------------------------------------
 
@@ -272,31 +198,19 @@ typename Table<Row>::Delta decode_delta(Cursor& in, DecodeRow decode_row,
   return delta;
 }
 
-/// Reads a count and moves past that many rows (or keys).
-void skip_rows(Cursor& in, void (*skip)(Cursor&)) {
-  const std::uint64_t count = in.varint();
-  for (std::uint64_t i = 0; i < count; ++i) skip(in);
-}
-
-/// One raw table's section of a record: a key-frame's whole table, or a
-/// delta's upserts and removals. A `wanted` section replaces `table` (key-
-/// frame) or rolls it forward by `dt` and applies the changes (delta); any
-/// other section is skipped and `table` is left alone.
-template <typename Row>
-void read_section(Cursor& in, bool keyframe, bool wanted, Table<Row>& table,
-                  sim::Duration dt) {
-  using Codec = RowCodec<Row>;
-  if (!wanted) {
-    skip_rows(in, Codec::skip_row);
-    if (!keyframe) skip_rows(in, Codec::skip_key);
-  } else if (keyframe) {
-    table = decode_table<Row>(in, Codec::decode_row);
+/// One raw table's section of a record: a key-frame's whole table replaces
+/// `table`; a delta rolls it forward by `dt` and applies the changes.
+template <typename Row, typename DecodeRow, typename DecodeKey>
+void read_section(Cursor& in, bool keyframe, Table<Row>& table, sim::Duration dt,
+                  DecodeRow decode_row, DecodeKey decode_key) {
+  if (keyframe) {
+    table = decode_table<Row>(in, decode_row);
   } else {
     // Derived fields (uptimes, averages, counters) roll forward by the
     // inter-cycle gap, then the delta overwrites the rows that actually
     // changed with exact values — the same recurrence core/log replays.
     table.advance_derived(dt);
-    table.apply(decode_delta<Row>(in, Codec::decode_row, Codec::decode_key));
+    table.apply(decode_delta<Row>(in, decode_row, decode_key));
   }
 }
 
@@ -317,33 +231,76 @@ ArchiveCycleMeta decode_meta(Cursor& in) {
   ArchiveCycleMeta meta;
   meta.stale = in.u8() != 0;
   meta.cycle_seq = in.varint();
-  meta.stale_tables = static_cast<std::uint32_t>(in.varint());
-  meta.collection_failures = static_cast<std::uint32_t>(in.varint());
-  meta.consecutive_failures = static_cast<std::uint32_t>(in.varint());
-  meta.parse_warnings = static_cast<std::uint32_t>(in.varint());
+  meta.stale_tables = in.varint_as<std::uint32_t>();
+  meta.collection_failures = in.varint_as<std::uint32_t>();
+  meta.consecutive_failures = in.varint_as<std::uint32_t>();
+  meta.parse_warnings = in.varint_as<std::uint32_t>();
   meta.capture_attempts = in.varint();
   meta.collection_latency = sim::Duration::milliseconds(in.svarint());
   return meta;
 }
 
-/// The fixed part every record starts with: kind, timestamp, router, meta.
-struct RecordHeader {
-  std::uint8_t kind = 0;
+/// The derived values of a CycleResult, after the metadata: counts as
+/// varints, then the spike flag, then doubles as raw bits.
+void encode_values(std::string& out, const CycleResult& result) {
+  const UsageStats& u = result.usage;
+  for (const int count : {u.sessions, u.participants, u.active_sessions, u.senders,
+                          u.single_member_sessions}) {
+    put_varint(out, static_cast<std::uint64_t>(count));
+  }
+  for (const std::size_t count : {result.dvmrp_routes, result.dvmrp_valid_routes,
+                                  result.route_changes, result.sa_entries,
+                                  result.mbgp_routes}) {
+    put_varint(out, count);
+  }
+  out.push_back(result.route_spike ? 1 : 0);
+  for (const double value :
+       {u.avg_density, u.bandwidth_kbps, u.unicast_equivalent_kbps, u.saved_multiple,
+        u.pct_sessions_active, u.pct_participants_senders, result.route_spike_score,
+        result.density_single_fraction, result.density_at_most_two_fraction,
+        result.density_top_share_80}) {
+    put_f64(out, value);
+  }
+}
+
+void decode_values(Cursor& in, CycleResult& result) {
+  UsageStats& u = result.usage;
+  for (int* count : {&u.sessions, &u.participants, &u.active_sessions, &u.senders,
+                     &u.single_member_sessions}) {
+    *count = in.varint_as<int>();
+  }
+  for (std::size_t* count : {&result.dvmrp_routes, &result.dvmrp_valid_routes,
+                             &result.route_changes, &result.sa_entries,
+                             &result.mbgp_routes}) {
+    *count = in.varint_as<std::size_t>();
+  }
+  result.route_spike = in.u8() != 0;
+  for (double* value :
+       {&u.avg_density, &u.bandwidth_kbps, &u.unicast_equivalent_kbps, &u.saved_multiple,
+        &u.pct_sessions_active, &u.pct_participants_senders, &result.route_spike_score,
+        &result.density_single_fraction, &result.density_at_most_two_fraction,
+        &result.density_top_share_80}) {
+    *value = in.f64();
+  }
+}
+
+/// What every record starts with: kind, capture time, router name.
+struct RecordPrefix {
+  bool keyframe = false;
   std::int64_t t_ms = 0;
   std::string router_name;
-  ArchiveCycleMeta meta;
 };
 
-RecordHeader decode_record_header(Cursor& in) {
-  RecordHeader header;
-  header.kind = in.u8();
-  if (header.kind != kKindKeyframe && header.kind != kKindDelta) {
+RecordPrefix decode_record_prefix(Cursor& in) {
+  RecordPrefix prefix;
+  const std::uint8_t kind = in.u8();
+  if (kind != kKindKeyframe && kind != kKindDelta) {
     throw std::runtime_error("archive record has unknown kind");
   }
-  header.t_ms = in.svarint();
-  header.router_name = in.string();
-  header.meta = decode_meta(in);
-  return header;
+  prefix.keyframe = kind == kKindKeyframe;
+  prefix.t_ms = in.svarint();
+  prefix.router_name = in.string();
+  return prefix;
 }
 
 /// Validates before the writer's file is created, so bad options never
@@ -365,6 +322,11 @@ ArchiveWriter::ArchiveWriter(std::string path, ArchiveOptions options)
 ArchiveWriter::~ArchiveWriter() { close(); }
 
 void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& meta) {
+  if (!carry_) carry_.emplace();
+  append(snapshot, derive_cycle(snapshot, meta, *carry_));
+}
+
+void ArchiveWriter::append(const Snapshot& snapshot, const CycleResult& result) {
   const std::size_t cycle = log_.frames_written();
   const bool keyframe =
       !options_.store_deltas || !have_previous_ ||
@@ -374,7 +336,8 @@ void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& met
   payload.push_back(static_cast<char>(keyframe ? kKindKeyframe : kKindDelta));
   put_svarint(payload, snapshot.captured.total_ms());
   put_string(payload, snapshot.router_name);
-  encode_meta(payload, meta);
+  encode_meta(payload, cycle_meta(result));
+  encode_values(payload, result);
 
   if (keyframe) {
     encode_table(payload, snapshot.pairs);
@@ -468,32 +431,37 @@ ArchiveReader::ArchiveReader(const std::string& path) {
   log_ = read_framed_log(
       path, kFormat, [this](std::string_view payload, std::uint64_t offset) -> const char* {
         Cursor cursor{payload.data(), payload.size()};
-        const RecordHeader record = decode_record_header(cursor);
-        const bool keyframe = record.kind == kKindKeyframe;
+        const RecordPrefix prefix = decode_record_prefix(cursor);
         // A hand-damaged file could start on a delta; there is nothing to
         // replay it against.
-        if (index_.empty() && !keyframe) return "first record is not a key-frame";
+        if (index_.empty() && !prefix.keyframe) return "first record is not a key-frame";
         IndexEntry entry;
         entry.payload_offset = offset;
         entry.payload_size = static_cast<std::uint32_t>(payload.size());
-        entry.t_ms = record.t_ms;
-        entry.keyframe = keyframe;
+        entry.keyframe = prefix.keyframe;
         // Back-pointer to the governing key-frame, so random access is O(1)
         // instead of walking the delta run backwards.
-        entry.last_keyframe = keyframe ? static_cast<std::uint32_t>(index_.size())
-                                       : index_.back().last_keyframe;
-        entry.meta = record.meta;
+        entry.last_keyframe = prefix.keyframe ? static_cast<std::uint32_t>(index_.size())
+                                              : index_.back().last_keyframe;
+        entry.result.t = sim::TimePoint::from_ms(prefix.t_ms);
+        set_cycle_meta(entry.result, decode_meta(cursor));
+        decode_values(cursor, entry.result);
+        entry.tables_offset = static_cast<std::uint32_t>(cursor.pos);
         index_.push_back(std::move(entry));
         return nullptr;
       });
 }
 
 sim::TimePoint ArchiveReader::time_at(std::size_t index) const {
-  return sim::TimePoint::from_ms(index_.at(index).t_ms);
+  return index_.at(index).result.t;
 }
 
-const ArchiveCycleMeta& ArchiveReader::meta_at(std::size_t index) const {
-  return index_.at(index).meta;
+ArchiveCycleMeta ArchiveReader::meta_at(std::size_t index) const {
+  return cycle_meta(index_.at(index).result);
+}
+
+const CycleResult& ArchiveReader::result_at(std::size_t index) const {
+  return index_.at(index).result;
 }
 
 bool ArchiveReader::keyframe_at(std::size_t index) const {
@@ -502,28 +470,26 @@ bool ArchiveReader::keyframe_at(std::size_t index) const {
 
 sim::TimePoint ArchiveReader::first_time() const {
   if (index_.empty()) throw std::out_of_range("ArchiveReader: empty archive");
-  return sim::TimePoint::from_ms(index_.front().t_ms);
+  return index_.front().result.t;
 }
 
 sim::TimePoint ArchiveReader::last_time() const {
   if (index_.empty()) throw std::out_of_range("ArchiveReader: empty archive");
-  return sim::TimePoint::from_ms(index_.back().t_ms);
+  return index_.back().result.t;
 }
 
 std::optional<std::size_t> ArchiveReader::index_at_or_before(sim::TimePoint t) const {
-  const std::int64_t t_ms = t.total_ms();
   const auto after = std::upper_bound(
-      index_.begin(), index_.end(), t_ms,
-      [](std::int64_t value, const IndexEntry& entry) { return value < entry.t_ms; });
+      index_.begin(), index_.end(), t,
+      [](sim::TimePoint value, const IndexEntry& entry) { return value < entry.result.t; });
   if (after == index_.begin()) return std::nullopt;
   return static_cast<std::size_t>(std::distance(index_.begin(), after)) - 1;
 }
 
 std::optional<std::size_t> ArchiveReader::index_at_or_after(sim::TimePoint t) const {
-  const std::int64_t t_ms = t.total_ms();
   const auto at = std::lower_bound(
-      index_.begin(), index_.end(), t_ms,
-      [](const IndexEntry& entry, std::int64_t value) { return entry.t_ms < value; });
+      index_.begin(), index_.end(), t,
+      [](const IndexEntry& entry, sim::TimePoint value) { return entry.result.t < value; });
   if (at == index_.end()) return std::nullopt;
   return static_cast<std::size_t>(std::distance(index_.begin(), at));
 }
@@ -532,54 +498,25 @@ std::size_t ArchiveReader::keyframe_index_before(std::size_t index) const {
   return index_.at(index).last_keyframe;
 }
 
-void ArchiveReader::apply_cycle(std::size_t index, Snapshot& state,
-                                TableMask tables) const {
-  if (index >= index_.size()) {
-    throw std::out_of_range("ArchiveReader: cycle index out of range");
-  }
-  // A key-frame replaces state outright, so it needs no seed; a delta's
-  // seed is the caller-provided previous cycle (the documented contract).
-  bool seeded = !index_[index].keyframe;
-  decode_into(index_[index], state, seeded, tables);
-}
-
-void ArchiveReader::decode_into(const IndexEntry& entry, Snapshot& state,
-                                bool& seeded, TableMask tables) const {
+void ArchiveReader::apply_cycle(std::size_t index, Snapshot& state) const {
+  const IndexEntry& entry = index_.at(index);
   records_decoded_.fetch_add(1, std::memory_order_relaxed);
   Cursor cursor{log_.bytes.data() + entry.payload_offset, entry.payload_size};
-  const RecordHeader header = decode_record_header(cursor);
-  if (!entry.keyframe && !seeded) {
-    throw std::runtime_error("archive delta before any key-frame");
-  }
-  const sim::Duration dt = entry.keyframe
-                               ? sim::Duration{}
-                               : sim::TimePoint::from_ms(header.t_ms) - state.captured;
-  // Sections are stored in mask-bit order, so one past the highest
-  // requested bit is never read.
-  const auto section = [&](TableMask table, auto& rows) {
-    if (tables < table) return;
-    read_section(cursor, entry.keyframe, (tables & table) != 0, rows, dt);
-  };
-  section(kPairsTable, state.pairs);
-  section(kRoutesTable, state.routes);
-  section(kSaTable, state.sa_cache);
-  section(kMbgpTable, state.mbgp_routes);
-  state.router_name = header.router_name;
-  state.captured = sim::TimePoint::from_ms(header.t_ms);
-  seeded = true;
+  RecordPrefix prefix = decode_record_prefix(cursor);
+  cursor.pos = entry.tables_offset;  // the metadata and values live in the index
+  const sim::Duration dt = entry.keyframe ? sim::Duration{} : entry.result.t - state.captured;
+  read_section(cursor, entry.keyframe, state.pairs, dt, decode_row_pair, decode_pair_key);
+  read_section(cursor, entry.keyframe, state.routes, dt, decode_row_route, decode_prefix_key);
+  read_section(cursor, entry.keyframe, state.sa_cache, dt, decode_row_sa, decode_pair_key);
+  read_section(cursor, entry.keyframe, state.mbgp_routes, dt, decode_row_mbgp,
+               decode_prefix_key);
+  state.router_name = std::move(prefix.router_name);
+  state.captured = entry.result.t;
 }
 
 Snapshot ArchiveReader::snapshot(std::size_t index) const {
-  if (index >= index_.size()) {
-    throw std::out_of_range("ArchiveReader: cycle index out of range");
-  }
-  const std::size_t keyframe = index_[index].last_keyframe;
-
   Snapshot state;
-  bool seeded = false;
-  for (std::size_t i = keyframe; i <= index; ++i) {
-    decode_into(index_[i], state, seeded);
-  }
+  for (std::size_t i = keyframe_index_before(index); i <= index; ++i) apply_cycle(i, state);
   state.participants = derive_participants(state.pairs);
   state.sessions = derive_sessions(state.pairs);
   return state;
@@ -597,10 +534,9 @@ void ArchiveReader::for_each(
     const std::function<void(std::size_t, const Snapshot&, const ArchiveCycleMeta&)>&
         fn) const {
   Snapshot state;
-  bool seeded = false;
   for (std::size_t i = 0; i < index_.size(); ++i) {
-    decode_into(index_[i], state, seeded);
-    fn(i, state, index_[i].meta);
+    apply_cycle(i, state);
+    fn(i, state, cycle_meta(index_[i].result));
   }
 }
 
@@ -619,22 +555,24 @@ CompactionStats compact_archive(const std::string& input_path,
   CompactionStats stats;
   stats.cycles_in = reader.size();
   stats.bytes_in = reader.indexed_bytes();
-  RollupBuilder rollups(options.sender_threshold_kbps);
+  RollupBuilder rollups;
   SidecarFingerprint fingerprint;
-  reader.for_each([&](std::size_t, const Snapshot& snapshot,
-                      const ArchiveCycleMeta& meta) {
+  reader.for_each([&](std::size_t index, const Snapshot& snapshot, const ArchiveCycleMeta&) {
     if (options.drop_before && snapshot.captured < *options.drop_before) {
       ++stats.cycles_dropped;
       return;
     }
-    writer.append(snapshot, meta);
+    // The stored answer is copied through, never re-derived: the first kept
+    // cycle keeps the route_changes and spike verdict the live monitor saw.
+    const CycleResult& result = reader.result_at(index);
+    writer.append(snapshot, result);
     if (options.write_rollups) {
       // Rollups aggregate exactly the cycles that survive into the output,
       // so a bucket straddling drop_before is rebuilt from the kept tail.
       if (fingerprint.records == 0) fingerprint.first_ms = snapshot.captured.total_ms();
       fingerprint.last_ms = snapshot.captured.total_ms();
       ++fingerprint.records;
-      rollups.observe(snapshot, meta);
+      rollups.observe(result);
     }
   });
   writer.close();
@@ -653,69 +591,11 @@ CompactionStats compact_archive(const std::string& input_path,
 
 // --- Offline replay --------------------------------------------------------
 
-ReplayPipeline::ReplayPipeline(ReplayOptions options)
-    : options_(options),
-      spike_detector_(options.spike_window, options.spike_k) {}
-
-void ReplayPipeline::observe(const Snapshot& raw, const ArchiveCycleMeta& meta) {
-  // Mirror the processing half of Mantra::run_target_cycle exactly — same
-  // derivations, same statistics, same order — so a replayed CycleResult
-  // is indistinguishable from the live one.
-  Snapshot snapshot = raw;
-  snapshot.participants =
-      derive_participants(snapshot.pairs, options_.sender_threshold_kbps);
-  snapshot.sessions =
-      derive_sessions(snapshot.pairs, options_.sender_threshold_kbps);
-
-  run_.route_monitor.observe(snapshot.captured, snapshot.routes);
-
-  CycleResult result;
-  result.t = snapshot.captured;
-  result.usage = compute_usage(snapshot, options_.sender_threshold_kbps);
-  result.dvmrp_routes = snapshot.routes.size();
-  snapshot.routes.visit([&result](const RouteRow& route) {
-    if (!route.holddown) ++result.dvmrp_valid_routes;
-  });
-  if (!run_.route_monitor.history().empty()) {
-    result.route_changes = run_.route_monitor.history().back().changes;
-  }
-  result.sa_entries = snapshot.sa_cache.size();
-  result.mbgp_routes = snapshot.mbgp_routes.size();
-  result.parse_warnings = meta.parse_warnings;
-
-  const SpikeDetector::Verdict verdict = spike_detector_.observe(
-      static_cast<double>(result.dvmrp_valid_routes));
-  result.route_spike = verdict.spike;
-  result.route_spike_score = verdict.score;
-
-  const DensityDistribution density =
-      compute_density_distribution(snapshot.sessions);
-  result.density_single_fraction = density.fraction_single_member;
-  result.density_at_most_two_fraction = density.fraction_at_most_two;
-  result.density_top_share_80 = density.top_session_share_for_80pct;
-
-  result.cycle_seq = static_cast<std::size_t>(meta.cycle_seq);
-  result.stale = meta.stale;
-  result.stale_tables = meta.stale_tables;
-  result.collection_failures = meta.collection_failures;
-  result.consecutive_failures = meta.consecutive_failures;
-  result.capture_attempts = meta.capture_attempts;
-  result.collection_latency = meta.collection_latency;
-
-  run_.results.push_back(result);
-}
-
-ReplayRun ReplayPipeline::finish() {
-  run_.spike_regime_resets = spike_detector_.regime_resets();
-  return std::move(run_);
-}
-
-ReplayRun replay_archive(const ArchiveReader& reader, ReplayOptions options) {
-  ReplayPipeline pipeline(options);
-  pipeline.reserve(reader.size());
-  reader.for_each([&](std::size_t, const Snapshot& raw,
-                      const ArchiveCycleMeta& meta) { pipeline.observe(raw, meta); });
-  return pipeline.finish();
+ReplayRun replay_archive(const ArchiveReader& reader) {
+  ReplayRun run;
+  run.results.reserve(reader.size());
+  for (std::size_t i = 0; i < reader.size(); ++i) run.results.push_back(reader.result_at(i));
+  return run;
 }
 
 TimeSeries series_from(const std::vector<CycleResult>& results, std::string name,

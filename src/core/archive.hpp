@@ -4,15 +4,18 @@
 // into the Figs 3-9 analyses; this module provides the capture-to-disk /
 // analyse-later split that makes those long-running deployments possible.
 //
-// On-disk format: a framed log (core/framed) with magic "MARC", version 2,
-// one frame per monitoring cycle. The payload is a varint + delta encoded
-// cycle: either a key-frame (all four raw tables in full) or a delta (the
-// existing PairTable::Delta / RouteTable::Delta / SaTable::Delta /
-// MbgpTable::Delta types against the previous cycle). Row keys are encoded
-// as differences against the previous row in table order, doubles as raw
-// IEEE-754 bits, so reconstruction is bit-exact for every stored field.
-// Derived tables (participants, sessions) are never stored — redundancy
-// avoidance, as in core/log — and are re-derived on read.
+// On-disk format: a framed log (core/framed) with magic "MARC", version 3,
+// one frame per monitoring cycle. Every record carries the cycle's
+// collection facts and its derived scalar answers (the CycleResult that
+// derive_cycle returned) in front of its tables, which are either a
+// key-frame (all four raw tables in full) or a delta (the existing
+// PairTable::Delta / RouteTable::Delta / SaTable::Delta / MbgpTable::Delta
+// types against the previous cycle). Row keys are encoded as differences
+// against the previous row in table order, doubles as raw IEEE-754 bits, so
+// reconstruction is bit-exact for every stored field. Derived tables
+// (participants, sessions) are never stored — redundancy avoidance, as in
+// core/log — and are re-derived on read; the scalar answers are stored, so
+// replay, rollups and raw queries read them instead of deriving them again.
 //
 // Crash safety is the framed log's: a torn or corrupt tail loses at most
 // the records from the damage on, and ArchiveReader reports the loss in
@@ -34,35 +37,6 @@
 
 namespace mantra::core {
 
-/// Collection metadata archived alongside each cycle's tables — the facts a
-/// replay cannot recompute from the tables themselves (PR 1's stale/failure
-/// accounting).
-struct ArchiveCycleMeta {
-  bool stale = false;
-  /// 1-based monitor cycle number (CycleResult::cycle_seq). Persisted so the
-  /// offline replay can rebuild correlation ids exactly — dark cycles leave
-  /// gaps the results index cannot recover. Format version 2.
-  std::uint64_t cycle_seq = 0;
-  std::uint32_t stale_tables = 0;
-  std::uint32_t collection_failures = 0;
-  std::uint32_t consecutive_failures = 0;
-  std::uint32_t parse_warnings = 0;
-  std::uint64_t capture_attempts = 0;
-  sim::Duration collection_latency;
-
-  friend bool operator==(const ArchiveCycleMeta&, const ArchiveCycleMeta&) = default;
-};
-
-/// A record's four raw tables as bits, in the order their sections are
-/// stored: the projection ArchiveReader::apply_cycle decodes.
-using TableMask = std::uint8_t;
-inline constexpr TableMask kPairsTable = 1u << 0;
-inline constexpr TableMask kRoutesTable = 1u << 1;
-inline constexpr TableMask kSaTable = 1u << 2;
-inline constexpr TableMask kMbgpTable = 1u << 3;
-inline constexpr TableMask kAllTables =
-    kPairsTable | kRoutesTable | kSaTable | kMbgpTable;
-
 struct ArchiveOptions {
   bool store_deltas = true;     ///< ablation: false = every record a key-frame
   int keyframe_interval = 96;   ///< full snapshot every N cycles (>= 1)
@@ -83,8 +57,16 @@ class ArchiveWriter {
   ArchiveWriter(const ArchiveWriter&) = delete;
   ArchiveWriter& operator=(const ArchiveWriter&) = delete;
 
-  /// Appends one monitoring cycle. Key-frame/delta selection follows the
-  /// configured interval; the first record is always a key-frame.
+  /// Appends one monitoring cycle with its result (derive_cycle's answer
+  /// for `snapshot`, collection facts included). Key-frame/delta selection
+  /// follows the configured interval; the first record is always a
+  /// key-frame.
+  void append(const Snapshot& snapshot, const CycleResult& result);
+
+  /// Appends one monitoring cycle from its tables and collection facts
+  /// alone: the writer runs derive_cycle itself, with the default
+  /// processing configuration and a carry that has seen every cycle this
+  /// writer appended this way.
   void append(const Snapshot& snapshot, const ArchiveCycleMeta& meta = {});
 
   /// Flushes buffered data to the OS and (on POSIX) to stable storage.
@@ -114,18 +96,21 @@ class ArchiveWriter {
   FramedLogWriter log_;
   Snapshot previous_;
   bool have_previous_ = false;
+  std::optional<CycleCarry> carry_;  ///< the meta-only append's derivation
   Telemetry* telemetry_ = &Telemetry::noop();
   std::string telemetry_label_;
   TelemetryStage* stage_ = nullptr;
 };
 
 /// Random-access reader over an archive file with a time-range index.
-/// Opening scans the framing once, validates every CRC, and truncates a torn
-/// tail per the recovery semantics above; payloads decode on demand.
+/// Opening scans the framing once, validates every CRC, decodes every
+/// record's collection facts and stored result into the index, and truncates
+/// a torn tail per the recovery semantics above; tables decode on demand.
 class ArchiveReader {
  public:
-  /// Throws std::runtime_error on a missing file or bad header. A damaged
-  /// tail is NOT an error — it is reported through recovery().
+  /// Throws std::runtime_error on a missing file or bad header (a version
+  /// other than 3 included). A damaged tail is NOT an error — it is reported
+  /// through recovery().
   explicit ArchiveReader(const std::string& path);
 
   [[nodiscard]] std::size_t size() const { return index_.size(); }
@@ -135,7 +120,10 @@ class ArchiveReader {
   [[nodiscard]] const RecoveryInfo& recovery() const { return log_.recovery; }
 
   [[nodiscard]] sim::TimePoint time_at(std::size_t index) const;
-  [[nodiscard]] const ArchiveCycleMeta& meta_at(std::size_t index) const;
+  [[nodiscard]] ArchiveCycleMeta meta_at(std::size_t index) const;
+  /// The CycleResult stored with cycle `index`: what the writer's
+  /// derive_cycle returned, read from the index without decoding a table.
+  [[nodiscard]] const CycleResult& result_at(std::size_t index) const;
   [[nodiscard]] bool keyframe_at(std::size_t index) const;
   [[nodiscard]] sim::TimePoint first_time() const;
   [[nodiscard]] sim::TimePoint last_time() const;
@@ -153,21 +141,15 @@ class ArchiveReader {
   /// walks the delta run. The first record is always a key-frame.
   [[nodiscard]] std::size_t keyframe_index_before(std::size_t index) const;
 
-  /// Low-level single-record decode, the building block range scans
-  /// (core/query) compose with a block cache. Applies record `index` to the
-  /// `tables` of `state`: a key-frame replaces them outright (`state` may be
-  /// empty); a delta rolls their derived fields forward and applies the
-  /// changes, so for deltas those tables of `state` MUST hold cycle
-  /// `index - 1`. The other raw tables' sections are skipped without
-  /// building rows, and decoding stops after the last requested section, so
-  /// damage in a section the projection skips may go unnoticed. Tables
-  /// outside `tables` and the derived tables (participants/sessions) are
-  /// never touched; the router name and capture time always are.
-  void apply_cycle(std::size_t index, Snapshot& state,
-                   TableMask tables = kAllTables) const;
+  /// Single-record table decode: applies record `index` to the raw tables
+  /// of `state`. A key-frame replaces them outright (`state` may be empty);
+  /// a delta rolls their derived fields forward and applies the changes, so
+  /// for deltas `state` MUST hold cycle `index - 1`. The derived tables
+  /// (participants/sessions) are never touched.
+  void apply_cycle(std::size_t index, Snapshot& state) const;
 
-  /// Record payloads decoded since open (diagnostics: key-frame pruning and
-  /// rollup short-circuits are provable as "this query decoded N records").
+  /// Record tables decoded since open (diagnostics: a query that reads only
+  /// the index is provable as "this query decoded 0 records").
   [[nodiscard]] std::uint64_t records_decoded() const {
     return records_decoded_.load(std::memory_order_relaxed);
   }
@@ -183,8 +165,8 @@ class ArchiveReader {
   /// std::out_of_range when `t` precedes the first archived cycle.
   [[nodiscard]] Snapshot snapshot_at(sim::TimePoint t) const;
 
-  /// Streams every cycle in order in O(total) — the replay path. The
-  /// snapshot reference is only valid during the callback.
+  /// Streams every cycle's raw tables in order in O(total) — compaction's
+  /// path. The snapshot reference is only valid during the callback.
   void for_each(const std::function<void(std::size_t index, const Snapshot&,
                                          const ArchiveCycleMeta&)>& fn) const;
 
@@ -192,14 +174,11 @@ class ArchiveReader {
   struct IndexEntry {
     std::uint64_t payload_offset = 0;  ///< into the file, past the frame header
     std::uint32_t payload_size = 0;
-    std::int64_t t_ms = 0;
-    bool keyframe = false;
+    std::uint32_t tables_offset = 0;  ///< into the payload, past the result
     std::uint32_t last_keyframe = 0;  ///< nearest key-frame index at or before
-    ArchiveCycleMeta meta;
+    bool keyframe = false;
+    CycleResult result;  ///< collection facts and stored values; t is the key
   };
-
-  void decode_into(const IndexEntry& entry, Snapshot& state, bool& seeded,
-                   TableMask tables = kAllTables) const;
 
   FramedLog log_;  ///< entire file contents and what opening it recovered
   std::vector<IndexEntry> index_;
@@ -215,12 +194,11 @@ struct CompactionOptions {
   /// dropped from the rewritten archive.
   std::optional<sim::TimePoint> drop_before;
   /// Materialize per-hour/per-day rollups alongside the output (the `.mroll`
-  /// sidecar core/query consults before touching raw deltas). Built in the
-  /// same pass — a bucket straddling `drop_before` is re-aggregated from the
-  /// surviving cycles only, so the sidecar never claims dropped data.
+  /// sidecar core/query consults for unfiltered coarse queries). Folded from
+  /// the stored results in the same pass — a bucket straddling
+  /// `drop_before` is re-aggregated from the surviving cycles only, so the
+  /// sidecar never claims dropped data.
   bool write_rollups = true;
-  /// Sender-classification threshold baked into the rollup usage metrics.
-  double sender_threshold_kbps = kSenderThresholdKbps;
 };
 
 struct CompactionStats {
@@ -235,61 +213,25 @@ struct CompactionStats {
 };
 
 /// Rewrites `input_path` into `output_path` with a new key-frame interval,
-/// dropping pre-horizon cycles. The input's torn tail (if any) is healed by
-/// construction — only complete cycles are rewritten. By default the pass
-/// also materializes the `.mroll` rollup sidecar for the output archive.
+/// dropping pre-horizon cycles. Every kept cycle's stored result is copied
+/// through unchanged, so the first kept cycle still reports the
+/// route_changes and spike verdict the live monitor reported. The input's
+/// torn tail (if any) is healed by construction — only complete cycles are
+/// rewritten. By default the pass also materializes the `.mroll` rollup
+/// sidecar for the output archive.
 CompactionStats compact_archive(const std::string& input_path,
                                 const std::string& output_path,
                                 CompactionOptions options = {});
 
-/// Offline analysis configuration — mirrors the processing half of the live
-/// monitoring cycle (MantraConfig's processing knobs).
-struct ReplayOptions {
-  double sender_threshold_kbps = kSenderThresholdKbps;
-  std::size_t spike_window = 48;
-  double spike_k = 10.0;
-};
-
-/// The offline run: per-cycle results identical to what the live monitor
-/// produced, plus the accumulated route statistics.
+/// The offline run: the per-cycle results the live monitor produced.
 struct ReplayRun {
   std::vector<CycleResult> results;
-  RouteMonitor route_monitor;
-  std::size_t spike_regime_resets = 0;
 };
 
-/// The per-cycle half of the offline Data Processor, factored out so every
-/// snapshot-producing walk — `replay_archive`'s sequential for_each and
-/// core/query's cache-assisted scans — funnels raw cycles through the exact
-/// same statements. Feed cycles in archive order; the produced CycleResults
-/// match the live monitor's byte for byte on every field the archive
-/// preserves.
-class ReplayPipeline {
- public:
-  explicit ReplayPipeline(ReplayOptions options = {});
-
-  /// Pre-sizes the result vector (pass the reader's cycle count).
-  void reserve(std::size_t cycles) { run_.results.reserve(cycles); }
-
-  /// Processes the next cycle: derives participant/session tables, updates
-  /// the route monitor and spike detector, appends one CycleResult.
-  void observe(const Snapshot& raw, const ArchiveCycleMeta& meta);
-
-  /// Moves the accumulated run out; the pipeline is spent afterwards.
-  [[nodiscard]] ReplayRun finish();
-
- private:
-  ReplayOptions options_;
-  ReplayRun run_;
-  SpikeDetector spike_detector_;
-};
-
-/// Runs the full Data Processor pipeline (UsageStats, DensityDistribution,
-/// RouteMonitor, SpikeDetector) over an archive instead of a live run. With
-/// the same processing options, the returned CycleResults match the live
-/// monitor's byte for byte on every field the archive preserves.
-[[nodiscard]] ReplayRun replay_archive(const ArchiveReader& reader,
-                                       ReplayOptions options = {});
+/// The offline Data Processor: every cycle's stored CycleResult, in archive
+/// order, read from the index without decoding a table. Equal to what the
+/// live monitor produced, field for field.
+[[nodiscard]] ReplayRun replay_archive(const ArchiveReader& reader);
 
 /// Extracts a TimeSeries from replayed (or live) cycle results — the offline
 /// equivalent of Mantra::series().

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -62,11 +63,6 @@ struct Cursor {
     if (n > size - pos) throw std::runtime_error("codec payload overrun");
   }
   [[nodiscard]] std::size_t remaining() const { return size - pos; }
-  /// Moves past `n` bytes without reading them.
-  void skip(std::uint64_t n) {
-    need(n);
-    pos += n;
-  }
   std::uint8_t u8() {
     need(1);
     return static_cast<std::uint8_t>(data[pos++]);
@@ -94,6 +90,25 @@ struct Cursor {
     const std::uint64_t raw = varint();
     return static_cast<std::int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
   }
+  /// A varint that must fit `T`: a larger value throws instead of
+  /// narrowing, so damage cannot decode as some other in-range value.
+  template <typename T>
+  T varint_as() {
+    const std::uint64_t value = varint();
+    if (value > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
+      throw std::runtime_error("codec value out of range");
+    }
+    return static_cast<T>(value);
+  }
+  /// A signed varint that must fit `T`, likewise.
+  template <typename T>
+  T svarint_as() {
+    const std::int64_t value = svarint();
+    if (value < std::numeric_limits<T>::min() || value > std::numeric_limits<T>::max()) {
+      throw std::runtime_error("codec value out of range");
+    }
+    return static_cast<T>(value);
+  }
   double f64() {
     need(8);
     std::uint64_t bits = 0;
@@ -113,8 +128,6 @@ struct Cursor {
     pos += length;
     return out;
   }
-  /// Moves past a length-prefixed string without building it.
-  void skip_string() { skip(varint()); }
 };
 
 }  // namespace mantra::core::codec

@@ -22,16 +22,31 @@ constexpr std::size_t kFrameBytes = 8;   // length:u32 crc:u32
 /// Corruption guard: a garbage length field must not trigger a huge read.
 constexpr std::uint32_t kMaxRecordBytes = 256u * 1024 * 1024;
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables: [0] is the classic byte-at-a-time table, and [k]
+/// carries a byte's remainder through k more zero bytes, so eight input
+/// bytes fold in with eight independent lookups instead of a serial chain.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int bit = 0; bit < 8; ++bit) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      tables[k][i] = (tables[k - 1][i] >> 8) ^ tables[0][tables[k - 1][i] & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+std::uint32_t load_le32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 /// The whole file, or nullopt when it cannot be opened. Throws
@@ -53,12 +68,17 @@ std::optional<std::string> read_file(const std::string& path) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables t = make_crc_tables();
   std::uint32_t crc = seed ^ 0xFFFFFFFFu;
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ bytes[i]) & 0xFFu] ^ (crc >> 8);
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = load_le32(bytes) ^ crc;
+    const std::uint32_t hi = load_le32(bytes + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+          t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
   }
+  for (; size > 0; ++bytes, --size) crc = t[0][(crc ^ *bytes) & 0xFFu] ^ (crc >> 8);
   return crc ^ 0xFFFFFFFFu;
 }
 

@@ -98,8 +98,7 @@ Mantra::Mantra(sim::Engine& engine, MantraConfig config, TransportFactory factor
 }
 
 void Mantra::add_target(const router::MulticastRouter* target) {
-  auto state = std::make_unique<TargetState>(config_.logger, config_.spike_window,
-                                             config_.spike_k);
+  auto state = std::make_unique<TargetState>(config_);
   state->router = target;
   state->name = target->hostname();
   // Each target gets its own collector: its own transport session and an
@@ -319,53 +318,32 @@ void Mantra::run_target_cycle(TargetState& target, sim::TimePoint now,
   // membership detail is not part of the cycle statistics.
   const std::size_t warnings = warning_lines.size();
 
+  ArchiveCycleMeta meta;
+  meta.stale = stale_tables > 0;
+  meta.cycle_seq = static_cast<std::uint64_t>(cycle_seq);
+  meta.stale_tables = static_cast<std::uint32_t>(stale_tables);
+  meta.collection_failures = static_cast<std::uint32_t>(report.failure_count());
+  meta.consecutive_failures = static_cast<std::uint32_t>(target.consecutive_failures);
+  meta.parse_warnings = static_cast<std::uint32_t>(warnings);
+  meta.capture_attempts = report.attempts;
+  meta.collection_latency = report.latency;
+
+  CycleResult result;
   {
     TelemetryStage::Span derive_scope =
         target.stage.span("derive", "process", now);
-    derive_participants_into(snapshot.pairs, config_.sender_threshold_kbps,
-                             snapshot.participants);
-    derive_sessions_into(snapshot.pairs, config_.sender_threshold_kbps,
-                         snapshot.sessions);
+    result = derive_cycle(snapshot, meta, target.carry);
+    // The cycle's derived tables move into its snapshot; the snapshot's old
+    // ones become the storage the next derivation rebuilds in place.
+    std::swap(snapshot.participants, target.carry.participants);
+    std::swap(snapshot.sessions, target.carry.sessions);
   }
 
   {
     TelemetryStage::Span record_scope =
         target.stage.span("record", "process", now);
     target.logger.record(snapshot);
-    target.route_monitor.observe(now, snapshot.routes);
   }
-
-  CycleResult result;
-  result.t = now;
-  result.cycle_seq = cycle_seq;
-  result.usage = compute_usage(snapshot, config_.sender_threshold_kbps);
-  result.dvmrp_routes = snapshot.routes.size();
-  snapshot.routes.visit([&result](const RouteRow& route) {
-    if (!route.holddown) ++result.dvmrp_valid_routes;
-  });
-  if (!target.route_monitor.history().empty()) {
-    result.route_changes = target.route_monitor.history().back().changes;
-  }
-  result.sa_entries = snapshot.sa_cache.size();
-  result.mbgp_routes = snapshot.mbgp_routes.size();
-  result.parse_warnings = warnings;
-
-  const SpikeDetector::Verdict verdict = target.spike_detector.observe(
-      static_cast<double>(result.dvmrp_valid_routes));
-  result.route_spike = verdict.spike;
-  result.route_spike_score = verdict.score;
-
-  const DensityDistribution density = compute_density_distribution(snapshot.sessions);
-  result.density_single_fraction = density.fraction_single_member;
-  result.density_at_most_two_fraction = density.fraction_at_most_two;
-  result.density_top_share_80 = density.top_session_share_for_80pct;
-
-  result.stale_tables = stale_tables;
-  result.stale = stale_tables > 0;
-  result.collection_failures = report.failure_count();
-  result.consecutive_failures = target.consecutive_failures;
-  result.capture_attempts = report.attempts;
-  result.collection_latency = report.latency;
 
   // This recorded cycle is the transition that ends a dark spell (if one
   // was running): capture its length before the reset, and emit the
@@ -420,20 +398,7 @@ void Mantra::run_target_cycle(TargetState& target, sim::TimePoint now,
     target_scope.set_sim_interval(now, report.latency);
   }
 
-  if (target.archive) {
-    ArchiveCycleMeta meta;
-    meta.cycle_seq = static_cast<std::uint64_t>(result.cycle_seq);
-    meta.stale = result.stale;
-    meta.stale_tables = static_cast<std::uint32_t>(result.stale_tables);
-    meta.collection_failures =
-        static_cast<std::uint32_t>(result.collection_failures);
-    meta.consecutive_failures =
-        static_cast<std::uint32_t>(result.consecutive_failures);
-    meta.parse_warnings = static_cast<std::uint32_t>(result.parse_warnings);
-    meta.capture_attempts = result.capture_attempts;
-    meta.collection_latency = result.collection_latency;
-    target.archive->append(snapshot, meta);
-  }
+  if (target.archive) target.archive->append(snapshot, result);
 
   target.results.push_back(result);
   // The scratch snapshot becomes the latest; the displaced snapshot's
@@ -462,7 +427,7 @@ const std::vector<CycleResult>& Mantra::TargetView::results() const {
 const DataLogger& Mantra::TargetView::logger() const { return state_->logger; }
 
 const RouteMonitor& Mantra::TargetView::route_monitor() const {
-  return state_->route_monitor;
+  return state_->carry.route_monitor;
 }
 
 const Snapshot& Mantra::TargetView::latest_snapshot() const {

@@ -265,7 +265,7 @@ class Mantra {
 
  private:
   /// One collection shard. Every member — collector (with its own
-  /// transport and jitter-RNG stream), tables, logger, monitors, archive
+  /// transport and jitter-RNG stream), tables, logger, derive carry, archive
   /// writer — is exclusively owned by this target, so shards share no
   /// mutable state and run_target_cycle is safe to run concurrently for
   /// distinct targets.
@@ -274,8 +274,7 @@ class Mantra {
     std::string name;
     std::unique_ptr<Collector> collector;
     DataLogger logger;
-    RouteMonitor route_monitor;
-    SpikeDetector spike_detector;
+    CycleCarry carry;  ///< route monitor, spike detector, derive storage
     std::unique_ptr<ArchiveWriter> archive;  ///< null when archiving is off
     std::vector<CycleResult> results;
     Snapshot latest;
@@ -297,9 +296,9 @@ class Mantra {
     /// driver thread). Assigned by add_target.
     std::uint32_t tid = 0;
 
-    TargetState(const LoggerConfig& logger_config, std::size_t spike_window,
-                double spike_k)
-        : logger(logger_config), spike_detector(spike_window, spike_k) {}
+    explicit TargetState(const MantraConfig& config)
+        : logger(config.logger),
+          carry(config.sender_threshold_kbps, config.spike_window, config.spike_k) {}
   };
 
   void run_target_cycle(TargetState& target, sim::TimePoint now,

@@ -5,24 +5,11 @@
 
 namespace mantra::core {
 
-UsageStats compute_usage(const Snapshot& snapshot, double threshold_kbps) {
-  UsageStats stats;
-  // Read the snapshot's derived tables in place (they used to be copied
-  // here — two full table copies per cycle); derive only when absent.
-  SessionTable derived_sessions;
-  ParticipantTable derived_participants;
-  if (snapshot.sessions.empty()) {
-    derive_sessions_into(snapshot.pairs, threshold_kbps, derived_sessions);
-  }
-  if (snapshot.participants.empty()) {
-    derive_participants_into(snapshot.pairs, threshold_kbps, derived_participants);
-  }
-  const SessionTable& sessions =
-      snapshot.sessions.empty() ? derived_sessions : snapshot.sessions;
-  const ParticipantTable& participants = snapshot.participants.empty()
-                                             ? derived_participants
-                                             : snapshot.participants;
+namespace {
 
+UsageStats usage_of(const PairTable& pairs, const SessionTable& sessions,
+                    const ParticipantTable& participants) {
+  UsageStats stats;
   stats.sessions = static_cast<int>(sessions.size());
   stats.participants = static_cast<int>(participants.size());
 
@@ -43,8 +30,7 @@ UsageStats compute_usage(const Snapshot& snapshot, double threshold_kbps) {
     if (participant.sender) ++stats.senders;
   });
 
-  snapshot.pairs.visit(
-      [&](const PairRow& pair) { stats.bandwidth_kbps += pair.current_kbps; });
+  pairs.visit([&](const PairRow& pair) { stats.bandwidth_kbps += pair.current_kbps; });
 
   if (stats.sessions > 0) {
     stats.avg_density = static_cast<double>(total_density) / stats.sessions;
@@ -59,6 +45,78 @@ UsageStats compute_usage(const Snapshot& snapshot, double threshold_kbps) {
     stats.saved_multiple = stats.unicast_equivalent_kbps / stats.bandwidth_kbps;
   }
   return stats;
+}
+
+}  // namespace
+
+UsageStats compute_usage(const Snapshot& snapshot, double threshold_kbps) {
+  // Read the snapshot's derived tables in place; derive only when absent.
+  SessionTable derived_sessions;
+  ParticipantTable derived_participants;
+  if (snapshot.sessions.empty()) {
+    derive_sessions_into(snapshot.pairs, threshold_kbps, derived_sessions);
+  }
+  if (snapshot.participants.empty()) {
+    derive_participants_into(snapshot.pairs, threshold_kbps, derived_participants);
+  }
+  return usage_of(snapshot.pairs,
+                  snapshot.sessions.empty() ? derived_sessions : snapshot.sessions,
+                  snapshot.participants.empty() ? derived_participants
+                                                : snapshot.participants);
+}
+
+ArchiveCycleMeta cycle_meta(const CycleResult& result) {
+  ArchiveCycleMeta meta;
+  meta.stale = result.stale;
+  meta.cycle_seq = static_cast<std::uint64_t>(result.cycle_seq);
+  meta.stale_tables = static_cast<std::uint32_t>(result.stale_tables);
+  meta.collection_failures = static_cast<std::uint32_t>(result.collection_failures);
+  meta.consecutive_failures = static_cast<std::uint32_t>(result.consecutive_failures);
+  meta.parse_warnings = static_cast<std::uint32_t>(result.parse_warnings);
+  meta.capture_attempts = result.capture_attempts;
+  meta.collection_latency = result.collection_latency;
+  return meta;
+}
+
+void set_cycle_meta(CycleResult& result, const ArchiveCycleMeta& meta) {
+  result.stale = meta.stale;
+  result.cycle_seq = static_cast<std::size_t>(meta.cycle_seq);
+  result.stale_tables = meta.stale_tables;
+  result.collection_failures = meta.collection_failures;
+  result.consecutive_failures = meta.consecutive_failures;
+  result.parse_warnings = meta.parse_warnings;
+  result.capture_attempts = meta.capture_attempts;
+  result.collection_latency = meta.collection_latency;
+}
+
+CycleResult derive_cycle(const Snapshot& snapshot, const ArchiveCycleMeta& meta,
+                         CycleCarry& carry) {
+  derive_participants_into(snapshot.pairs, carry.sender_threshold_kbps, carry.participants);
+  derive_sessions_into(snapshot.pairs, carry.sender_threshold_kbps, carry.sessions);
+  carry.route_monitor.observe(snapshot.captured, snapshot.routes);
+  const RouteMonitor::CycleStats& routes = carry.route_monitor.history().back();
+
+  CycleResult result;
+  result.t = snapshot.captured;
+  result.usage = usage_of(snapshot.pairs, carry.sessions, carry.participants);
+  result.dvmrp_routes = routes.total;
+  result.dvmrp_valid_routes = routes.valid;
+  result.route_changes = routes.changes;
+  result.sa_entries = snapshot.sa_cache.size();
+  result.mbgp_routes = snapshot.mbgp_routes.size();
+
+  const SpikeDetector::Verdict verdict =
+      carry.spike_detector.observe(static_cast<double>(result.dvmrp_valid_routes));
+  result.route_spike = verdict.spike;
+  result.route_spike_score = verdict.score;
+
+  const DensityDistribution density = compute_density_distribution(carry.sessions);
+  result.density_single_fraction = density.fraction_single_member;
+  result.density_at_most_two_fraction = density.fraction_at_most_two;
+  result.density_top_share_80 = density.top_session_share_for_80pct;
+
+  set_cycle_meta(result, meta);
+  return result;
 }
 
 DensityDistribution compute_density_distribution(const SessionTable& sessions) {

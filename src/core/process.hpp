@@ -36,9 +36,30 @@ struct UsageStats {
 [[nodiscard]] UsageStats compute_usage(const Snapshot& snapshot,
                                        double threshold_kbps = kSenderThresholdKbps);
 
-/// One monitoring cycle's processed results for one router. Produced by the
-/// live monitoring cycle (core/mantra) and reproduced verbatim by the
-/// offline archive replay (core/archive).
+/// The collection facts of one cycle that its tables cannot tell: how
+/// collection went, and which monitor cycle it was. The live cycle
+/// (core/mantra) records them, the archive (core/archive) stores them with
+/// every cycle, and derive_cycle copies them into the cycle's CycleResult.
+struct ArchiveCycleMeta {
+  bool stale = false;
+  /// 1-based monitor cycle number (CycleResult::cycle_seq). Persisted so the
+  /// offline readers rebuild correlation ids exactly — dark cycles leave
+  /// gaps the results index cannot recover.
+  std::uint64_t cycle_seq = 0;
+  std::uint32_t stale_tables = 0;
+  std::uint32_t collection_failures = 0;
+  std::uint32_t consecutive_failures = 0;
+  std::uint32_t parse_warnings = 0;
+  std::uint64_t capture_attempts = 0;
+  sim::Duration collection_latency;
+
+  friend bool operator==(const ArchiveCycleMeta&, const ArchiveCycleMeta&) = default;
+};
+
+/// One monitoring cycle's processed results for one router: what
+/// derive_cycle returns. The live monitoring cycle (core/mantra) produces it
+/// and the archive stores it, so every offline reader (core/archive,
+/// core/query) returns it verbatim.
 struct CycleResult {
   sim::TimePoint t;
   /// 1-based monitor cycle number this result was produced in. Dark cycles
@@ -72,6 +93,13 @@ struct CycleResult {
 
   friend bool operator==(const CycleResult&, const CycleResult&) = default;
 };
+
+/// The collection facts of `result`, as the archive stores them (the counts
+/// narrow to 32 bits).
+[[nodiscard]] ArchiveCycleMeta cycle_meta(const CycleResult& result);
+
+/// Copies the collection facts of `meta` into `result`.
+void set_cycle_meta(CycleResult& result, const ArchiveCycleMeta& meta);
 
 /// Density-skew facts from the §IV-B off-line analysis.
 struct DensityDistribution {
@@ -178,5 +206,31 @@ class SpikeDetector {
   std::size_t consecutive_spikes_ = 0;
   std::size_t regime_resets_ = 0;
 };
+
+/// What derive_cycle carries from one cycle of a router to the next: the
+/// route monitor and the spike detector, the sender threshold, and storage
+/// for the cycle's derived tables.
+struct CycleCarry {
+  CycleCarry() = default;
+  CycleCarry(double threshold_kbps, std::size_t spike_window, double spike_k)
+      : sender_threshold_kbps(threshold_kbps), spike_detector(spike_window, spike_k) {}
+
+  double sender_threshold_kbps = kSenderThresholdKbps;
+  RouteMonitor route_monitor;
+  SpikeDetector spike_detector;
+  /// The last derived cycle's participant and session tables, rebuilt in
+  /// place (capacity kept) by every derive_cycle call.
+  ParticipantTable participants;
+  SessionTable sessions;
+};
+
+/// The processing half of one monitoring cycle, written once: derives the
+/// participant and session tables from `snapshot.pairs` into `carry` (the
+/// snapshot's own derived tables are not read), feeds the route monitor and
+/// the spike detector, and returns the cycle's result with the collection
+/// facts of `meta`. The live cycle and the archive writer are its callers;
+/// the archive stores the answer, so no offline reader derives it again.
+[[nodiscard]] CycleResult derive_cycle(const Snapshot& snapshot,
+                                       const ArchiveCycleMeta& meta, CycleCarry& carry);
 
 }  // namespace mantra::core

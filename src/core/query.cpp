@@ -18,133 +18,6 @@ using codec::put_varint;
 // 'M' 'R' 'L' 'L' little-endian, the sidecar's counterpart of "MARC".
 constexpr SidecarFormat kRollupFormat{0x4C4C524Du, 1, ".mroll"};
 
-// --- Per-cycle metric values ------------------------------------------------
-//
-// These little extractors are THE definition of every metric, shared by the
-// rollup builder (all metrics per cycle) and the raw scan (one metric with
-// derivation pushdown) — rollup-served and raw-scanned answers agree because
-// they literally run the same statements. The usage formulas mirror
-// compute_usage (core/process) so query answers match the report's numbers.
-
-double sum_pair_kbps(const PairTable& pairs) {
-  double total = 0.0;
-  pairs.visit([&](const PairRow& pair) { total += pair.current_kbps; });
-  return total;
-}
-
-std::size_t count_active_sessions(const SessionTable& sessions) {
-  std::size_t active = 0;
-  sessions.visit([&](const SessionRow& session) {
-    if (session.active) ++active;
-  });
-  return active;
-}
-
-double unicast_equivalent(const SessionTable& sessions) {
-  double total = 0.0;
-  sessions.visit([&](const SessionRow& session) {
-    if (session.active) total += session.density * session.total_kbps;
-  });
-  return total;
-}
-
-std::size_t count_senders(const ParticipantTable& participants) {
-  std::size_t senders = 0;
-  participants.visit([&](const ParticipantRow& participant) {
-    if (participant.sender) ++senders;
-  });
-  return senders;
-}
-
-std::size_t count_valid_routes(const RouteTable& routes) {
-  std::size_t valid = 0;
-  routes.visit([&](const RouteRow& route) {
-    if (!route.holddown) ++valid;
-  });
-  return valid;
-}
-
-/// One metric for one cycle. `sessions`/`participants` are consulted only
-/// for the metrics that need them (pass empty tables otherwise);
-/// `route_changes` is the precomputed diff count against the previous cycle.
-double metric_value(QueryMetric metric, const Snapshot& raw,
-                    const ArchiveCycleMeta& meta, const SessionTable& sessions,
-                    const ParticipantTable& participants,
-                    std::size_t route_changes) {
-  switch (metric) {
-    case QueryMetric::sessions:
-      return static_cast<double>(sessions.size());
-    case QueryMetric::participants:
-      return static_cast<double>(participants.size());
-    case QueryMetric::active_sessions:
-      return static_cast<double>(count_active_sessions(sessions));
-    case QueryMetric::senders:
-      return static_cast<double>(count_senders(participants));
-    case QueryMetric::bandwidth_kbps:
-      return sum_pair_kbps(raw.pairs);
-    case QueryMetric::unicast_equivalent_kbps:
-      return unicast_equivalent(sessions);
-    case QueryMetric::dvmrp_routes:
-      return static_cast<double>(raw.routes.size());
-    case QueryMetric::dvmrp_valid_routes:
-      return static_cast<double>(count_valid_routes(raw.routes));
-    case QueryMetric::route_changes:
-      return static_cast<double>(route_changes);
-    case QueryMetric::sa_entries:
-      return static_cast<double>(raw.sa_cache.size());
-    case QueryMetric::mbgp_routes:
-      return static_cast<double>(raw.mbgp_routes.size());
-    case QueryMetric::parse_warnings:
-      return static_cast<double>(meta.parse_warnings);
-    case QueryMetric::stale:
-      return meta.stale ? 1.0 : 0.0;
-    case QueryMetric::collection_failures:
-      return static_cast<double>(meta.collection_failures);
-    case QueryMetric::collection_latency_ms:
-      return static_cast<double>(meta.collection_latency.total_ms());
-  }
-  return 0.0;  // unreachable: the switch is exhaustive
-}
-
-/// What one metric reads from an archived cycle: the raw tables a raw scan
-/// decodes and the derivations it runs on them. A metric that reads no
-/// table is answered from the reader's index (meta_at/time_at) alone.
-struct MetricNeeds {
-  TableMask tables = 0;
-  bool sessions = false;
-  bool participants = false;
-};
-
-/// Indexed by QueryMetric; must agree with metric_value above.
-constexpr std::array<MetricNeeds, kQueryMetricCount> kMetricNeeds = {{
-    {kPairsTable, true, false},    // sessions
-    {kPairsTable, false, true},    // participants
-    {kPairsTable, true, false},    // active_sessions
-    {kPairsTable, false, true},    // senders
-    {kPairsTable, false, false},   // bandwidth_kbps
-    {kPairsTable, true, false},    // unicast_equivalent_kbps
-    {kRoutesTable, false, false},  // dvmrp_routes
-    {kRoutesTable, false, false},  // dvmrp_valid_routes
-    {kRoutesTable, false, false},  // route_changes
-    {kSaTable, false, false},      // sa_entries
-    {kMbgpTable, false, false},    // mbgp_routes
-    {},                            // parse_warnings
-    {},                            // stale
-    {},                            // collection_failures
-    {},                            // collection_latency_ms
-}};
-
-/// Copies the `tables` of a cached key-frame (and its name and time) into
-/// the scan state, leaving the other tables alone.
-void copy_tables(const Snapshot& block, TableMask tables, Snapshot& state) {
-  state.router_name = block.router_name;
-  state.captured = block.captured;
-  if ((tables & kPairsTable) != 0) state.pairs = block.pairs;
-  if ((tables & kRoutesTable) != 0) state.routes = block.routes;
-  if ((tables & kSaTable) != 0) state.sa_cache = block.sa_cache;
-  if ((tables & kMbgpTable) != 0) state.mbgp_routes = block.mbgp_routes;
-}
-
 }  // namespace
 
 // --- Buckets ----------------------------------------------------------------
@@ -235,75 +108,63 @@ const char* to_string(QueryMetric metric) {
   return "unknown";
 }
 
+double metric_value(QueryMetric metric, const CycleResult& result) {
+  switch (metric) {
+    case QueryMetric::sessions: return result.usage.sessions;
+    case QueryMetric::participants: return result.usage.participants;
+    case QueryMetric::active_sessions: return result.usage.active_sessions;
+    case QueryMetric::senders: return result.usage.senders;
+    case QueryMetric::bandwidth_kbps: return result.usage.bandwidth_kbps;
+    case QueryMetric::unicast_equivalent_kbps: return result.usage.unicast_equivalent_kbps;
+    case QueryMetric::dvmrp_routes: return static_cast<double>(result.dvmrp_routes);
+    case QueryMetric::dvmrp_valid_routes: return static_cast<double>(result.dvmrp_valid_routes);
+    case QueryMetric::route_changes: return static_cast<double>(result.route_changes);
+    case QueryMetric::sa_entries: return static_cast<double>(result.sa_entries);
+    case QueryMetric::mbgp_routes: return static_cast<double>(result.mbgp_routes);
+    case QueryMetric::parse_warnings: return static_cast<double>(result.parse_warnings);
+    case QueryMetric::stale: return result.stale ? 1.0 : 0.0;
+    case QueryMetric::collection_failures:
+      return static_cast<double>(result.collection_failures);
+    case QueryMetric::collection_latency_ms:
+      return static_cast<double>(result.collection_latency.total_ms());
+  }
+  return 0.0;  // unreachable: the switch is exhaustive
+}
+
 // --- RollupBuilder ----------------------------------------------------------
 
-struct RollupBuilder::Impl {
-  double threshold;
-  // Reused scratch: deriving into cleared-but-capacious tables keeps the
-  // compaction pass allocation-free at steady state, like the live cycle.
-  ParticipantTable participants;
-  SessionTable sessions;
-  RouteTable previous_routes;
-  bool have_previous = false;
-  std::map<std::int64_t, RollupBucket> hourly;
-  std::map<std::int64_t, RollupBucket> daily;
+namespace {
 
-  explicit Impl(double threshold_kbps) : threshold(threshold_kbps) {}
-
-  void fold(std::map<std::int64_t, RollupBucket>& buckets,
-            std::int64_t bucket_width, std::int64_t t_ms,
-            const std::array<double, kQueryMetricCount>& values, bool stale,
-            bool failed) {
-    const std::int64_t start = bucket_floor(t_ms, bucket_width);
-    RollupBucket& bucket = buckets[start];
-    bucket.start_ms = start;
-    for (std::size_t m = 0; m < kQueryMetricCount; ++m) {
-      bucket.metrics[m].add(values[m], bucket.cycles == 0);
-    }
-    ++bucket.cycles;
-    if (stale) ++bucket.stale_cycles;
-    if (failed) ++bucket.failure_cycles;
-  }
-};
-
-RollupBuilder::RollupBuilder(double sender_threshold_kbps)
-    : impl_(std::make_unique<Impl>(sender_threshold_kbps)) {}
-
-RollupBuilder::~RollupBuilder() = default;
-
-void RollupBuilder::observe(const Snapshot& raw, const ArchiveCycleMeta& meta) {
-  Impl& impl = *impl_;
-  derive_sessions_into(raw.pairs, impl.threshold, impl.sessions);
-  derive_participants_into(raw.pairs, impl.threshold, impl.participants);
-  // Same convention as RouteMonitor: the first observed cycle has no
-  // predecessor, so its change count is zero.
-  const std::size_t route_changes =
-      impl.have_previous
-          ? RouteTable::diff(impl.previous_routes, raw.routes).change_count()
-          : 0;
-  impl.previous_routes = raw.routes;
-  impl.have_previous = true;
-
-  std::array<double, kQueryMetricCount> values{};
+void fold(std::map<std::int64_t, RollupBucket>& buckets, std::int64_t width,
+          const CycleResult& result) {
+  const std::int64_t start = bucket_floor(result.t.total_ms(), width);
+  RollupBucket& bucket = buckets[start];
+  bucket.start_ms = start;
   for (std::size_t m = 0; m < kQueryMetricCount; ++m) {
-    values[m] = metric_value(static_cast<QueryMetric>(m), raw, meta,
-                             impl.sessions, impl.participants, route_changes);
+    bucket.metrics[m].add(metric_value(static_cast<QueryMetric>(m), result),
+                          bucket.cycles == 0);
   }
-  const std::int64_t t_ms = raw.captured.total_ms();
-  const bool failed = meta.collection_failures > 0;
-  impl.fold(impl.hourly, kHourMs, t_ms, values, meta.stale, failed);
-  impl.fold(impl.daily, kDayMs, t_ms, values, meta.stale, failed);
+  ++bucket.cycles;
+  if (result.stale) ++bucket.stale_cycles;
+  if (result.collection_failures > 0) ++bucket.failure_cycles;
+}
+
+}  // namespace
+
+void RollupBuilder::observe(const CycleResult& result) {
+  fold(hourly_, kHourMs, result);
+  fold(daily_, kDayMs, result);
 }
 
 RollupSidecar RollupBuilder::finish(SidecarFingerprint fingerprint) {
   RollupSidecar sidecar;
   sidecar.source = fingerprint;
-  sidecar.hourly.reserve(impl_->hourly.size());
-  for (auto& [start, bucket] : impl_->hourly) sidecar.hourly.push_back(bucket);
-  sidecar.daily.reserve(impl_->daily.size());
-  for (auto& [start, bucket] : impl_->daily) sidecar.daily.push_back(bucket);
-  impl_->hourly.clear();
-  impl_->daily.clear();
+  sidecar.hourly.reserve(hourly_.size());
+  for (auto& [start, bucket] : hourly_) sidecar.hourly.push_back(bucket);
+  sidecar.daily.reserve(daily_.size());
+  for (auto& [start, bucket] : daily_) sidecar.daily.push_back(bucket);
+  hourly_.clear();
+  daily_.clear();
   return sidecar;
 }
 
@@ -318,11 +179,9 @@ SidecarFingerprint fingerprint_of(const ArchiveReader& reader) {
   return fingerprint;
 }
 
-RollupSidecar build_rollups(const ArchiveReader& reader,
-                            double sender_threshold_kbps) {
-  RollupBuilder builder(sender_threshold_kbps);
-  reader.for_each([&](std::size_t, const Snapshot& raw,
-                      const ArchiveCycleMeta& meta) { builder.observe(raw, meta); });
+RollupSidecar build_rollups(const ArchiveReader& reader) {
+  RollupBuilder builder;
+  for (std::size_t i = 0; i < reader.size(); ++i) builder.observe(reader.result_at(i));
   return builder.finish(fingerprint_of(reader));
 }
 
@@ -519,7 +378,6 @@ void QueryEngine::add_archive(std::string target, const std::string& path) {
   }
   auto source = std::make_unique<Source>();
   source->name = std::move(target);
-  source->id = static_cast<std::uint32_t>(sources_.size());
   source->reader = std::make_unique<ArchiveReader>(path);
   source->rollups = keep_if_fresh(load_rollup_sidecar(rollup_path_for(path)),
                                   fingerprint_of(*source->reader), rollups_rejected_);
@@ -596,27 +454,6 @@ QueryResult QueryEngine::run_rollup(const Source& source, const Query& query,
   return result;
 }
 
-void QueryEngine::fetch_block(const Source& source, std::size_t index,
-                              TableMask tables, Snapshot& state,
-                              QueryResult& result) const {
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(source.id) << 32) | index;
-  std::shared_ptr<const Snapshot> block = cache_.get(key);
-  if (block) {
-    ++result.cache_hits;
-  } else {
-    ++result.cache_misses;
-    // The cache granule is the whole key-frame, whatever this scan reads,
-    // so a later query for any metric hits. Raw tables only: derived
-    // tables are re-derived per metric.
-    Snapshot decoded;
-    source.reader->apply_cycle(index, decoded);
-    ++result.records_decoded;
-    block = cache_.insert(key, std::move(decoded));
-  }
-  copy_tables(*block, tables, state);
-}
-
 QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
                                  const QueryWindow& window) const {
   const ArchiveReader& reader = *source.reader;
@@ -628,86 +465,27 @@ QueryResult QueryEngine::run_raw(const Source& source, const Query& query,
       reader.index_at_or_before(sim::TimePoint::from_ms(window.to_ms));
   if (!last || *last < *first) return result;
 
-  const MetricNeeds& needs = kMetricNeeds[static_cast<std::size_t>(query.metric)];
-  const bool decode = needs.tables != 0;
-  const bool track_routes = query.metric == QueryMetric::route_changes;
-  // route_changes at cycle i diffs against cycle i-1, so the scan must have
-  // materialized the predecessor: start one cycle early when it exists.
-  const std::size_t first_needed =
-      track_routes && *first > 0 ? *first - 1 : *first;
-  // A metadata metric decodes nothing, so it starts at the range itself.
-  const std::size_t start =
-      decode ? reader.keyframe_index_before(first_needed) : *first;
-
-  Snapshot state;
-  SessionTable sessions;
-  ParticipantTable participants;
-  RouteTable previous_routes;
-  bool have_previous = false;
-
+  // An index walk: every cycle's answer is stored, so no record is decoded.
   PointFolder points(window, query.aggregate, result.points);
-
-  for (std::size_t i = start; i <= *last; ++i) {
-    if (decode && i == start) {
-      fetch_block(source, i, needs.tables, state, result);  // always a key-frame
-    } else if (decode) {
-      reader.apply_cycle(i, state, needs.tables);
-      ++result.records_decoded;
-    }
-    std::size_t route_changes = 0;
-    if (track_routes) {
-      if (have_previous && i >= first_needed + 1) {
-        route_changes =
-            RouteTable::diff(previous_routes, state.routes).change_count();
-      }
-      if (i >= first_needed) {
-        previous_routes = state.routes;
-        have_previous = true;
-      }
-    }
-    if (i < *first) continue;
-
-    const ArchiveCycleMeta& meta = reader.meta_at(i);
-    if (!query.include_stale && meta.stale) continue;
-    if (!query.include_failed && meta.collection_failures > 0) continue;
-
-    if (needs.sessions) {
-      derive_sessions_into(state.pairs, options_.sender_threshold_kbps, sessions);
-    }
-    if (needs.participants) {
-      derive_participants_into(state.pairs, options_.sender_threshold_kbps,
-                               participants);
-    }
-    const double value = metric_value(query.metric, state, meta, sessions,
-                                      participants, route_changes);
+  for (std::size_t i = *first; i <= *last; ++i) {
+    const CycleResult& cycle = reader.result_at(i);
+    if (!query.include_stale && cycle.stale) continue;
+    if (!query.include_failed && cycle.collection_failures > 0) continue;
+    const double value = metric_value(query.metric, cycle);
     if (query.min_value && value < *query.min_value) continue;
     if (query.max_value && value > *query.max_value) continue;
-    points.add(reader.time_at(i).total_ms(), value);
+    points.add(cycle.t.total_ms(), value);
   }
   points.finish();
   return result;
 }
 
-ReplayRun QueryEngine::replay(const std::string& target,
-                              ReplayOptions options) const {
+ReplayRun QueryEngine::replay(const std::string& target) const {
   const Source* source = find(target);
   if (source == nullptr) {
     throw std::invalid_argument("QueryEngine: unknown target " + target);
   }
-  const ArchiveReader& reader = *source->reader;
-  ReplayPipeline pipeline(options);
-  pipeline.reserve(reader.size());
-  Snapshot state;
-  QueryResult scratch;  // counter sink; replay reports through the cache stats
-  for (std::size_t i = 0; i < reader.size(); ++i) {
-    if (reader.keyframe_at(i)) {
-      fetch_block(*source, i, kAllTables, state, scratch);
-    } else {
-      reader.apply_cycle(i, state);
-    }
-    pipeline.observe(state, reader.meta_at(i));
-  }
-  return pipeline.finish();
+  return replay_archive(*source->reader);
 }
 
 void QueryEngine::set_telemetry(Telemetry* telemetry, std::string label) {

@@ -4,41 +4,33 @@
 // "millions of users" are *readers* of that history — dashboards and API
 // queries asking "sessions for target X between t1 and t2, downsampled per
 // hour" — and a reader population scales independently of the capture rate
-// only if most questions never touch the raw delta stream (contrail's
+// only if questions never touch the raw delta stream (contrail's
 // opserver/database split: collection and query are separate engines over
-// one store). Three layers make that true:
+// one store). Two layers make that true:
 //
 //   * QueryEngine — time-range scans with predicate pushdown. A query names
 //     a target, a metric, a range and optional filters (min/max value,
-//     exclude-stale, exclude-failed); the scan decodes only the key-frame
-//     blocks the range touches (O(1) back-pointer into the governing
-//     key-frame, never a walk of the whole file), and of each record only
-//     the one raw table its metric reads (a table projection of the
-//     record decode). It computes only what the metric needs: usage
-//     derivation is skipped for route-count queries, route diffs unless
-//     route_changes is asked for, and the four metadata metrics
-//     (parse_warnings, stale, collection_failures, collection_latency_ms)
-//     are answered from the reader's index without decoding a record.
+//     exclude-stale, exclude-failed). Every archived record stores the
+//     CycleResult the live cycle derived, and the reader holds those in its
+//     index, so a raw-resolution scan is an index walk: a binary search to
+//     the range, then one CycleResult field per cycle. No table is decoded
+//     and nothing is derived again, for any of the 15 metrics.
 //   * Materialized rollups — per-hour and per-day {count,min,max,sum,last}
-//     aggregates of every metric, built at `compact_archive` time (or
-//     explicitly via build_rollups) and persisted as a `.mroll` sidecar next
-//     to the archive. An unfiltered coarse query is answered entirely from
-//     the sidecar: zero archive records decoded, cost proportional to the
-//     bucket count, not the capture rate. A sidecar is consulted only when
-//     its fingerprint (cycle count, first/last timestamps, indexed bytes)
+//     aggregates of every metric, folded from the stored results at
+//     `compact_archive` time (or explicitly via build_rollups) and persisted
+//     as a `.mroll` sidecar next to the archive. An unfiltered coarse query
+//     is answered from the sidecar, at a cost proportional to the bucket
+//     count, not the capture rate. A sidecar is consulted only when its
+//     fingerprint (cycle count, first/last timestamps, indexed bytes)
 //     matches the archive — a stale sidecar (e.g. next to a re-compacted
 //     file) is ignored, never trusted.
-//   * BlockCache — a sharded LRU cache over decoded key-frame snapshots,
-//     shared by all queries (and all threads) of one engine. Concurrent
-//     dashboard readers ask overlapping questions about the recent past;
-//     the cache turns the common block decodes into shared_ptr handoffs.
-//     Mutex-per-shard, byte-capacity bounded, hit/miss/eviction counters
-//     exported through core/telemetry.
+//
+// BlockCache, a sharded LRU cache over decoded key-frame snapshots, is kept
+// with its counters for the serving benchmark; no query path reads it.
 //
 // The first client is the existing report renderer: QueryEngine::replay
-// feeds the same ReplayPipeline the sequential replay uses, so
-// `archive_replay --report-out=` through the query engine renders the
-// byte-identical report the live monitor writes.
+// returns the stored results, so `archive_replay --report-out=` through the
+// query engine renders the byte-identical report the live monitor writes.
 #pragma once
 
 #include <array>
@@ -59,10 +51,8 @@ namespace mantra::core {
 
 // --- Metrics ---------------------------------------------------------------
 
-/// Per-cycle scalars the serving layer answers questions about. Everything
-/// here is computable from one archived cycle (plus, for route_changes, the
-/// immediately preceding one) — no whole-history state like spike verdicts,
-/// which remain the replay pipeline's business.
+/// Per-cycle scalars the serving layer answers questions about: each is one
+/// field of the cycle's stored CycleResult.
 enum class QueryMetric : std::uint8_t {
   sessions = 0,
   participants,
@@ -83,6 +73,9 @@ enum class QueryMetric : std::uint8_t {
 inline constexpr std::size_t kQueryMetricCount = 15;
 
 [[nodiscard]] const char* to_string(QueryMetric metric);
+
+/// The value of `metric` in one cycle's result.
+[[nodiscard]] double metric_value(QueryMetric metric, const CycleResult& result);
 
 enum class QueryResolution : std::uint8_t {
   raw,   ///< one point per archived cycle
@@ -134,34 +127,27 @@ struct RollupSidecar {
   std::vector<RollupBucket> daily;
 };
 
-/// Streaming rollup accumulator: feed cycles in archive order, collect the
-/// sidecar at the end. Derives usage tables into reused scratch storage and
-/// tracks the previous route table for route_changes, exactly matching what
-/// a raw range scan over the same archive computes.
+/// Streaming rollup accumulator: feed stored cycle results in archive
+/// order, collect the sidecar at the end.
 class RollupBuilder {
  public:
-  explicit RollupBuilder(double sender_threshold_kbps = kSenderThresholdKbps);
-  ~RollupBuilder();
-
-  void observe(const Snapshot& raw, const ArchiveCycleMeta& meta);
+  void observe(const CycleResult& result);
 
   /// Finalizes open buckets and returns the sidecar stamped with
   /// `fingerprint`. The builder is spent afterwards.
   [[nodiscard]] RollupSidecar finish(SidecarFingerprint fingerprint);
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::map<std::int64_t, RollupBucket> hourly_;
+  std::map<std::int64_t, RollupBucket> daily_;
 };
 
 /// The fingerprint an up-to-date sidecar for `reader` must carry.
 [[nodiscard]] SidecarFingerprint fingerprint_of(const ArchiveReader& reader);
 
-/// Builds rollups for an existing archive in one sequential pass (the
+/// Builds rollups for an existing archive from its stored results (the
 /// compaction-time path is RollupBuilder inside compact_archive).
-[[nodiscard]] RollupSidecar build_rollups(
-    const ArchiveReader& reader,
-    double sender_threshold_kbps = kSenderThresholdKbps);
+[[nodiscard]] RollupSidecar build_rollups(const ArchiveReader& reader);
 
 /// `<dir>/<stem>.mroll` next to `<dir>/<stem>.marc` (any other extension is
 /// replaced the same way; a bare name gains `.mroll`).
@@ -287,13 +273,11 @@ struct QueryPoint {
 
 struct QueryResult {
   std::vector<QueryPoint> points;
-  bool from_rollup = false;        ///< answered without touching the archive
-  /// Archive payload decodes this query, projected or full; 0 for a
-  /// metadata metric, which reads only the reader's index.
+  bool from_rollup = false;        ///< answered from the `.mroll` sidecar
+  /// Archive records decoded by this query: 0 for every `.marc` query,
+  /// which reads only the reader's index (a `.mtel` scan counts samples).
   std::uint64_t records_decoded = 0;
   std::uint64_t rollup_buckets = 0;    ///< sidecar buckets consulted
-  std::uint64_t cache_hits = 0;        ///< key-frame blocks served from cache
-  std::uint64_t cache_misses = 0;
 };
 
 /// A query's time range in milliseconds. At hour/day resolution it snaps
@@ -334,14 +318,11 @@ class PointFolder {
 struct QueryEngineOptions {
   std::size_t cache_bytes = BlockCache::kDefaultCapacityBytes;
   std::size_t cache_shards = 8;
-  /// Threshold the usage metrics are computed with; must match the rollup
-  /// builder's for rollup/raw parity (both default to the paper's 4 kbps).
-  double sender_threshold_kbps = kSenderThresholdKbps;
 };
 
-/// The serving engine: one or more archives (one per target), their rollup
-/// sidecars, and one shared block cache. add_archive is setup-phase;
-/// run/replay are const and safe to call from many threads concurrently.
+/// The serving engine: one or more archives (one per target) and their
+/// rollup sidecars. add_archive is setup-phase; run/replay are const and
+/// safe to call from many threads concurrently.
 class QueryEngine {
  public:
   explicit QueryEngine(QueryEngineOptions options = {});
@@ -359,12 +340,13 @@ class QueryEngine {
   /// Answers one query. Throws std::invalid_argument for an unknown target.
   [[nodiscard]] QueryResult run(const Query& query) const;
 
-  /// Full-fidelity replay of one target through the shared ReplayPipeline —
-  /// the report renderer's path. Byte-identical to replay_archive on the
-  /// same file; key-frames come from the block cache.
-  [[nodiscard]] ReplayRun replay(const std::string& target,
-                                 ReplayOptions options = {}) const;
+  /// Full-fidelity replay of one target — the report renderer's path: the
+  /// stored results, equal to replay_archive on the same file.
+  [[nodiscard]] ReplayRun replay(const std::string& target) const;
 
+  /// The engine's block cache. No query or replay reads it, so its
+  /// counters stay at zero; it leaves together with the serving benchmark's
+  /// cache metrics.
   [[nodiscard]] BlockCache& cache() { return cache_; }
   [[nodiscard]] const BlockCache& cache() const { return cache_; }
 
@@ -377,7 +359,6 @@ class QueryEngine {
  private:
   struct Source {
     std::string name;
-    std::uint32_t id = 0;  ///< high half of the block-cache key
     std::unique_ptr<ArchiveReader> reader;
     std::optional<RollupSidecar> rollups;
   };
@@ -387,14 +368,10 @@ class QueryEngine {
                                        const QueryWindow& window) const;
   [[nodiscard]] QueryResult run_raw(const Source& source, const Query& query,
                                     const QueryWindow& window) const;
-  /// Loads the `tables` of key-frame `index` into `state` through the
-  /// cache; a miss decodes and caches the whole key-frame.
-  void fetch_block(const Source& source, std::size_t index, TableMask tables,
-                   Snapshot& state, QueryResult& result) const;
 
   QueryEngineOptions options_;
   std::vector<std::unique_ptr<Source>> sources_;
-  mutable BlockCache cache_;
+  BlockCache cache_;
   std::size_t rollups_rejected_ = 0;
   std::string telemetry_label_;
   Counter* query_counter_ = nullptr;         ///< mantra_query_runs_total

@@ -10,6 +10,7 @@
 
 #include "core/archive.hpp"
 #include "core/mantra.hpp"
+#include "rederive_check.hpp"
 #include "workload/scenario.hpp"
 
 namespace mantra::core {
@@ -399,6 +400,7 @@ TEST(Archive, CompactionRewritesKeyframesAndDropsHorizon) {
   EXPECT_GT(stats.bytes_in, 0u);
   EXPECT_GT(stats.bytes_out, 0u);
 
+  const ArchiveReader original(path);
   const ArchiveReader compacted(out_path);
   ASSERT_EQ(compacted.size(), 12u);
   for (std::size_t i = 0; i < compacted.size(); ++i) {
@@ -407,7 +409,12 @@ TEST(Archive, CompactionRewritesKeyframesAndDropsHorizon) {
     EXPECT_EQ(compacted.keyframe_at(i), i % 8 == 0) << "cycle " << i;
     expect_tables_equal(compacted.snapshot(i), history[i + 8],
                         "compacted cycle " + std::to_string(i));
+    // Stored results are copied through, never re-derived.
+    EXPECT_EQ(compacted.result_at(i), original.result_at(i + 8)) << "cycle " << i;
   }
+  // So the first kept cycle reports the route changes the live monitor saw
+  // against the dropped cycle before it, not 0 from an empty history.
+  EXPECT_GT(compacted.result_at(0).route_changes, 0u);
 }
 
 TEST(Archive, EmptyAndDamagedFiles) {
@@ -512,17 +519,20 @@ TEST_F(ArchiveReplay, FiveHundredCycleScenarioReplaysByteIdentically) {
   EXPECT_TRUE(reader.recovery().clean);
   ASSERT_EQ(reader.size(), live.size());
 
-  ReplayOptions replay_options;
-  replay_options.sender_threshold_kbps = config.sender_threshold_kbps;
-  replay_options.spike_window = config.spike_window;
-  replay_options.spike_k = config.spike_k;
-  const ReplayRun replay = replay_archive(reader, replay_options);
+  const std::uint64_t decoded_before_replay = reader.records_decoded();
+  const ReplayRun replay = replay_archive(reader);
   ASSERT_EQ(replay.results.size(), live.size());
+  // Replay reads the stored results; it decodes no table.
+  EXPECT_EQ(reader.records_decoded(), decoded_before_replay);
 
-  // Every archived field of every cycle result matches the live run exactly.
+  // Every field of every cycle result matches the live run exactly.
   for (std::size_t i = 0; i < live.size(); ++i) {
     EXPECT_EQ(replay.results[i], live[i]) << "cycle " << i;
   }
+
+  // The re-derivation check: derive_cycle with a fresh carry over every
+  // record's decoded tables reproduces the stored values bit for bit.
+  EXPECT_EQ(rederive::describe_differences(reader, rederive::results_of(reader)), "");
 
   // Fig 3 (usage counts) and Fig 7 (DVMRP routes): byte-identical CSV.
   const auto series_pair = [&](const char* name,
@@ -548,11 +558,19 @@ TEST_F(ArchiveReplay, FiveHundredCycleScenarioReplaysByteIdentically) {
     return static_cast<double>(r.route_changes);
   });
 
-  // The route monitor's accumulated statistics replay identically too.
-  EXPECT_EQ(replay.route_monitor.total_changes(), live_total_changes);
-  EXPECT_EQ(replay.route_monitor.completed_route_count(), live_completed_routes);
-  EXPECT_DOUBLE_EQ(replay.route_monitor.mean_completed_lifetime_s(),
-                   live_mean_lifetime);
+  // The route statistics the live monitor accumulated come back too: the
+  // change total from the stored results, the lifetimes from walking the
+  // archived route tables through a RouteMonitor.
+  std::uint64_t replayed_changes = 0;
+  for (const CycleResult& result : replay.results) replayed_changes += result.route_changes;
+  EXPECT_EQ(replayed_changes, live_total_changes);
+  RouteMonitor walked;
+  reader.for_each([&](std::size_t, const Snapshot& tables, const ArchiveCycleMeta&) {
+    walked.observe(tables.captured, tables.routes);
+  });
+  EXPECT_EQ(walked.total_changes(), live_total_changes);
+  EXPECT_EQ(walked.completed_route_count(), live_completed_routes);
+  EXPECT_DOUBLE_EQ(walked.mean_completed_lifetime_s(), live_mean_lifetime);
 }
 
 }  // namespace

@@ -127,6 +127,24 @@ TEST_F(MantraPipeline, UsageStatisticsAreLive) {
   EXPECT_EQ(last.parse_warnings, 0u);
 }
 
+TEST_F(MantraPipeline, LatestSnapshotHoldsItsOwnCyclesDerivedTables) {
+  // The cycle derives into reused storage and hands the tables to the
+  // snapshot; after every cycle they must be that cycle's, not a recycled
+  // earlier cycle's, and agree with the recorded result.
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    run_minutes(15);
+    for (const char* name : {"fixw", "ucsb-gw"}) {
+      const Mantra::TargetView view = monitor_->target_view(name);
+      const Snapshot& latest = view.latest_snapshot();
+      EXPECT_EQ(latest.participants, derive_participants(latest.pairs))
+          << name << " cycle " << cycle;
+      EXPECT_EQ(latest.sessions, derive_sessions(latest.pairs)) << name << " cycle " << cycle;
+      EXPECT_EQ(view.results().back().usage, compute_usage(latest))
+          << name << " cycle " << cycle;
+    }
+  }
+}
+
 TEST_F(MantraPipeline, LoggerRecordsEveryCycleAndReconstructs) {
   run_hours(2);
   const DataLogger& logger = monitor_->target_view("fixw").logger();

@@ -1,13 +1,16 @@
-// The raw-resolution scan of QueryEngine as it stood before table
-// projection: its metric extractors, `fetch_block` and `run_raw`, copied
-// verbatim. Test-only; the projection tests hold the engine to exactly
-// these points.
+// The raw-resolution scan of QueryEngine as it stood before records stored
+// their derived values and before table projection: its metric extractors,
+// `fetch_block` and `run_raw`, which derive every metric from the decoded
+// tables. Test-only; the raw-scan tests hold the engine's index walk to
+// exactly these points.
 //
 // Only the packaging changed: the two member functions live on a small
-// OracleEngine that borrows a BlockCache, `Source` carries just the id and
-// the reader, and full_decode_raw_scan does QueryEngine::run's window check
-// before calling run_raw. `apply_cycle(index, state)` is the reader's
-// all-tables decode, which is the full decode this scan always did.
+// OracleEngine that borrows a BlockCache and holds the sender threshold,
+// `Source` carries just the id and the reader, full_decode_raw_scan does
+// QueryEngine::run's window check before calling run_raw, and the key-frame
+// cache is no longer counted in QueryResult. `apply_cycle(index, state)` is
+// the reader's all-tables decode, which is the full decode this scan always
+// did.
 #include "oracle/raw_scan_oracle.hpp"
 
 #include <memory>
@@ -118,9 +121,8 @@ struct Source {
 
 class OracleEngine {
  public:
-  OracleEngine(BlockCache& cache, double sender_threshold_kbps) : cache_(cache) {
-    options_.sender_threshold_kbps = sender_threshold_kbps;
-  }
+  OracleEngine(BlockCache& cache, double sender_threshold_kbps)
+      : cache_(cache), sender_threshold_kbps_(sender_threshold_kbps) {}
 
   [[nodiscard]] QueryResult run_raw(const Source& source, const Query& query,
                                     const QueryWindow& window) const;
@@ -130,7 +132,7 @@ class OracleEngine {
                    QueryResult& result) const;
 
   BlockCache& cache_;
-  QueryEngineOptions options_;
+  double sender_threshold_kbps_;
 };
 
 void OracleEngine::fetch_block(const Source& source, std::size_t index,
@@ -138,11 +140,9 @@ void OracleEngine::fetch_block(const Source& source, std::size_t index,
   const std::uint64_t key =
       (static_cast<std::uint64_t>(source.id) << 32) | index;
   if (std::shared_ptr<const Snapshot> cached = cache_.get(key)) {
-    ++result.cache_hits;
     state = *cached;
     return;
   }
-  ++result.cache_misses;
   source.reader->apply_cycle(index, state);
   ++result.records_decoded;
   // Cache the raw tables only: derived tables are re-derived per metric, and
@@ -206,10 +206,10 @@ QueryResult OracleEngine::run_raw(const Source& source, const Query& query,
     if (!query.include_failed && meta.collection_failures > 0) continue;
 
     if (want_sessions) {
-      derive_sessions_into(state.pairs, options_.sender_threshold_kbps, sessions);
+      derive_sessions_into(state.pairs, sender_threshold_kbps_, sessions);
     }
     if (want_participants) {
-      derive_participants_into(state.pairs, options_.sender_threshold_kbps,
+      derive_participants_into(state.pairs, sender_threshold_kbps_,
                                participants);
     }
     const double value = metric_value(query.metric, state, meta, sessions,

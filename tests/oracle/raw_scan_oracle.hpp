@@ -1,8 +1,9 @@
-// Test oracle: QueryEngine's raw-resolution scan as it was before the record
-// decode learned table projection (see raw_scan_oracle.cpp). Every record
-// rebuilds all four raw tables, and every metric, the metadata ones
-// included, walks the records from the governing key-frame. The projected
-// scan must return exactly these points.
+// Test oracle: QueryEngine's raw-resolution scan as it was before records
+// stored their derived values (see raw_scan_oracle.cpp). Every record
+// rebuilds all four raw tables, every metric is derived from those tables,
+// and every metric, the metadata ones included, walks the records from the
+// governing key-frame. The index walk over stored values must return
+// exactly these points.
 #pragma once
 
 #include <cstdint>

@@ -1,13 +1,14 @@
-// Projected raw scans: QueryEngine decodes of each archived record only the
-// raw table its metric reads, and answers the four metadata metrics from
-// the reader's index. The oracle (tests/oracle/raw_scan_oracle.cpp) is the
-// scan as it was before, rebuilding all four tables from the governing
-// key-frame for every metric. Both must return bit-identical points for
-// every metric, filter, resolution and window shape, on cold and warm
-// caches, over archives that exercise every section skipper: key-frame
-// intervals 1, 8 and 96, an all-key-frame archive, stale and failed
-// cycles, tables that drain to empty or stay empty, and MBGP AS paths long
-// enough to leave the short-string buffer.
+// Raw scans over stored results: every `.marc` record stores the
+// CycleResult its writer derived, so QueryEngine answers every raw query by
+// walking the reader's index and decodes no record. The oracle
+// (tests/oracle/raw_scan_oracle.cpp) is the scan that derived every metric
+// from the decoded tables, rebuilding all four from the governing key-frame.
+// Both must return bit-identical points for every metric, filter,
+// resolution and window shape, over archives of every shape: key-frame
+// intervals 1, 8 and 96, an all-key-frame archive, stale and failed cycles,
+// tables that drain to empty or stay empty, and MBGP AS paths long enough
+// to leave the short-string buffer. The same archives hold the stored
+// values to a re-derivation from their tables.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "core/archive.hpp"
 #include "core/query.hpp"
 #include "oracle/raw_scan_oracle.hpp"
+#include "rederive_check.hpp"
 
 namespace mantra::core {
 namespace {
@@ -173,12 +175,6 @@ constexpr Filter kFilters[] = {Filter::none, Filter::min_value, Filter::max_valu
 constexpr QueryResolution kResolutions[] = {QueryResolution::raw, QueryResolution::hour,
                                             QueryResolution::day};
 
-bool reads_no_table(QueryMetric metric) {
-  return metric == QueryMetric::parse_warnings || metric == QueryMetric::stale ||
-         metric == QueryMetric::collection_failures ||
-         metric == QueryMetric::collection_latency_ms;
-}
-
 /// What a metadata metric reads off one cycle's index entry.
 double meta_value(QueryMetric metric, const ArchiveCycleMeta& meta) {
   switch (metric) {
@@ -267,13 +263,21 @@ class ProjectedRawScan : public ::testing::Test {
   std::vector<std::string> paths_;
 };
 
+/// The engine decoded nothing and its block cache saw no traffic.
+void expect_index_only(const QueryEngine& engine, const QueryResult& result,
+                       const std::string& label) {
+  EXPECT_EQ(result.records_decoded, 0u) << label;
+  EXPECT_EQ(engine.reader("fixw")->records_decoded(), 0u) << label;
+  const BlockCache::Stats cache = engine.cache().stats();
+  EXPECT_EQ(cache.hits + cache.misses + cache.insertions, 0u) << label;
+}
+
 TEST_F(ProjectedRawScan, MatchesTheFullDecodeOracle) {
   for (std::size_t s = 0; s < shapes().size(); ++s) {
     const ArchiveShape shape = shapes()[s];
     const ArchiveReader reader(path_of(s));
     ASSERT_EQ(reader.size(), static_cast<std::size_t>(shape.cycles));
-    // One engine across the whole sweep: its key-frames were cached by
-    // queries for other metrics, whose projections differ.
+    // One engine across the whole sweep, every metric through one reader.
     QueryEngine shared;
     shared.add_archive("fixw", path_of(s));
     std::size_t compared = 0;
@@ -299,28 +303,27 @@ TEST_F(ProjectedRawScan, MatchesTheFullDecodeOracle) {
             EXPECT_TRUE(same_points(warm, want)) << label << " (warm)";
             EXPECT_TRUE(same_points(shared.run(query), want)) << label << " (shared)";
             EXPECT_FALSE(cold.from_rollup) << label;
-            if (reads_no_table(metric)) {
-              for (const QueryResult* result : {&cold, &warm}) {
-                EXPECT_EQ(result->records_decoded, 0u) << label;
-                EXPECT_EQ(result->cache_hits, 0u) << label;
-                EXPECT_EQ(result->cache_misses, 0u) << label;
-              }
-            } else {
-              // The same records and key-frame fetches as the full decode;
-              // warm, the key-frame fetch is a hit instead of a decode.
-              EXPECT_EQ(cold.records_decoded, want.records_decoded) << label;
-              EXPECT_EQ(cold.cache_hits, want.cache_hits) << label;
-              EXPECT_EQ(cold.cache_misses, want.cache_misses) << label;
-              EXPECT_EQ(warm.records_decoded, want.records_decoded - want.cache_misses) << label;
-              EXPECT_EQ(warm.cache_hits, want.cache_misses) << label;
-              EXPECT_EQ(warm.cache_misses, 0u) << label;
-            }
+            // Table metrics too: the oracle decodes records, the engine none.
+            expect_index_only(engine, cold, label + " (cold)");
+            expect_index_only(engine, warm, label + " (warm)");
           }
         }
       }
     }
+    expect_index_only(shared, QueryResult{}, shape.name + " (shared)");
     // The sweep compared real answers, mostly not empty ones.
     EXPECT_GT(non_empty, compared / 2) << shape.name;
+  }
+}
+
+/// The re-derivation check over every shape: derive_cycle with a fresh carry
+/// over each record's decoded tables returns the stored values bit for bit.
+TEST_F(ProjectedRawScan, StoredValuesRederiveFromTheTables) {
+  for (std::size_t s = 0; s < shapes().size(); ++s) {
+    const ArchiveReader reader(path_of(s));
+    const std::vector<CycleResult> rederived = rederive::results_of(reader);
+    ASSERT_EQ(rederived.size(), reader.size()) << shapes()[s].name;
+    EXPECT_EQ(rederive::describe_differences(reader, rederived), "") << shapes()[s].name;
   }
 }
 
@@ -334,17 +337,9 @@ TEST_F(ProjectedRawScan, MetadataMetricsReadOnlyTheIndex) {
         QueryMetric::collection_latency_ms}) {
     for (const Window& window : windows(shape)) {
       Query query = make_query(metric, window, Filter::none, QueryResolution::raw, 0.0);
-      const std::uint64_t decoded_before = reader.records_decoded();
-      const BlockCache::Stats cache_before = engine.cache().stats();
       const QueryResult result = engine.run(query);
-      const BlockCache::Stats cache_after = engine.cache().stats();
       EXPECT_FALSE(result.points.empty()) << to_string(metric) << " " << window.name;
-      EXPECT_EQ(result.records_decoded, 0u);
-      EXPECT_EQ(result.cache_hits, 0u);
-      EXPECT_EQ(result.cache_misses, 0u);
-      EXPECT_EQ(reader.records_decoded(), decoded_before) << to_string(metric);
-      EXPECT_EQ(cache_after.hits + cache_after.misses, cache_before.hits + cache_before.misses);
-      EXPECT_EQ(cache_after.insertions, cache_before.insertions);
+      expect_index_only(engine, result, to_string(metric));
       for (const QueryPoint& point : result.points) {
         const std::size_t i = *reader.index_at_or_before(point.t);
         EXPECT_EQ(reader.time_at(i), point.t);
@@ -352,16 +347,16 @@ TEST_F(ProjectedRawScan, MetadataMetricsReadOnlyTheIndex) {
       }
     }
   }
-  // A table metric over the same engine still goes through the cache.
+  // A table metric over the same engine reads the index the same way.
   const QueryResult routes = engine.run(
       make_query(QueryMetric::dvmrp_routes, windows(shape)[0], Filter::none,
                  QueryResolution::raw, 0.0));
-  EXPECT_EQ(routes.cache_misses, 1u);
-  EXPECT_GT(routes.records_decoded, 0u);
+  EXPECT_FALSE(routes.points.empty());
+  expect_index_only(engine, routes, "dvmrp_routes");
 }
 
-/// Concurrent clients share one engine, one reader and one cache while
-/// asking for different projections of the same key-frames.
+/// Concurrent clients share one engine and one reader while asking for
+/// different metrics of the same cycles.
 TEST_F(ProjectedRawScan, ConcurrentClientsMatchTheOracle) {
   const ArchiveShape shape = shapes()[1];  // key-frame interval 8
   const ArchiveReader reader(path_of(1));
@@ -375,11 +370,7 @@ TEST_F(ProjectedRawScan, ConcurrentClientsMatchTheOracle) {
       expected.push_back(oracle::full_decode_raw_scan(reader, cache, queries.back()));
     }
   }
-  // A small cache keeps key-frames cycling through miss, insert and evict.
-  QueryEngineOptions options;
-  options.cache_bytes = 4 * approx_block_bytes(reader.snapshot(0));
-  options.cache_shards = 2;
-  QueryEngine engine(options);
+  QueryEngine engine;
   engine.add_archive("fixw", path_of(1));
 
   std::atomic<int> mismatches{0};
@@ -395,7 +386,7 @@ TEST_F(ProjectedRawScan, ConcurrentClientsMatchTheOracle) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_GT(engine.cache().stats().hits, 0u);
+  expect_index_only(engine, QueryResult{}, "concurrent clients");
 }
 
 }  // namespace
