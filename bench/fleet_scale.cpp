@@ -10,7 +10,8 @@
 // must render in under a second.
 //
 // Emits BENCH_fleet_scale.json at the repo root (MANTRA_REPO_ROOT baked in
-// at configure time). Scale knobs:
+// at configure time), with the host facts (cores, build type, compiler) the
+// numbers were measured on. Scale knobs:
 //   MANTRA_FLEET_SCALE_SHARDS         shard count (default 8)
 //   MANTRA_FLEET_SCALE_TARGETS        total fleet targets (default 1000,
 //                                     split evenly across shards)
@@ -19,12 +20,14 @@
 //   MANTRA_BENCH_OUTPUT_DIR           overrides the JSON output directory
 //   MANTRA_FLEET_SCALE_ASSERT_BUDGET  when set, exit nonzero unless the
 //                                     fleet view rendered under budget
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/fleet.hpp"
@@ -162,14 +165,18 @@ int main() {
 
   const std::string json_path = output_path();
   std::ofstream json(json_path);
-  char line[512];
+  char line[768];
   std::snprintf(line, sizeof line,
                 "{\n  \"bench\": \"fleet_scale\",\n"
+                "  \"host\": {\"nproc\": %u, \"build_type\": \"%s\", "
+                "\"compiler\": \"%s\"},\n"
                 "  \"shards\": %zu,\n  \"targets\": %zu,\n"
                 "  \"cycles_per_shard\": %d,\n  \"threads\": %zu,\n"
                 "  \"status_ms\": %.3f,\n  \"report_ms\": %.3f,\n"
                 "  \"total_ms\": %.3f,\n  \"budget_ms\": %.0f,\n"
                 "  \"report_bytes\": %zu,\n  \"under_budget\": %s\n}\n",
+                std::max(1u, std::thread::hardware_concurrency()),
+                MANTRA_BENCH_BUILD_TYPE, MANTRA_BENCH_COMPILER,
                 fleet.shard_count(), fleet.target_count(), cycles, threads,
                 status_ms, report_ms, total_ms, budget_ms, report.size(),
                 under_budget ? "true" : "false");

@@ -231,10 +231,10 @@ int main(int argc, char** argv) {
     if (!write_file(events_out, core::federated_events_logfmt(fleet))) return 1;
   }
 
+  const core::FleetReportData live_data = core::fleet_report_data_from(fleet);
   std::string live_report;
   if (!report_out.empty()) {
-    live_report =
-        core::render_fleet_html_report(core::fleet_report_data_from(fleet));
+    live_report = core::render_fleet_html_report(live_data);
     FILE* out = std::fopen(report_out.c_str(), "wb");
     const bool ok = out != nullptr &&
                     std::fwrite(live_report.data(), 1, live_report.size(),
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
 
   std::string live_explain;
   if (!explain_out.empty()) {
-    const core::FleetProvenance merged = core::fleet_provenance(fleet);
+    const core::FleetProvenance merged = core::fleet_provenance_from(live_data);
     live_explain = core::render_explanations(merged.records,
                                              core::ExplainFilter{},
                                              &merged.shards);

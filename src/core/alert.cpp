@@ -457,14 +457,6 @@ std::vector<AlertStatus> AlertEngine::status() const {
   return out;
 }
 
-std::vector<AlertStatus> AlertEngine::active() const {
-  std::vector<AlertStatus> out;
-  for (AlertStatus& entry : status()) {
-    if (entry.state != AlertState::inactive) out.push_back(std::move(entry));
-  }
-  return out;
-}
-
 std::size_t AlertEngine::firing_count() const {
   std::size_t count = 0;
   for (const auto& [target, states] : targets_) {
@@ -491,16 +483,29 @@ SummaryTable AlertEngine::status_table() const {
 }
 
 SummaryTable AlertEngine::history_table() const {
-  SummaryTable table({"rule", "target", "severity", "pending_at", "fired_at",
-                      "resolved_at", "peak", "cycles"});
+  std::vector<const AlertRecord*> records;
+  records.reserve(history_.size());
+  for (const AlertRecord& record : history_) records.push_back(&record);
+  return alert_history_table(records);
+}
+
+SummaryTable alert_history_table(std::span<const AlertRecord* const> records,
+                                 std::span<const std::string* const> shards) {
+  std::vector<std::string> columns = {"rule",     "target",      "severity", "pending_at",
+                                      "fired_at", "resolved_at", "peak",     "cycles"};
+  if (!shards.empty()) columns.insert(columns.begin(), "shard");
+  SummaryTable table(std::move(columns));
   char peak[32];
-  for (const AlertRecord& record : history_) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const AlertRecord& record = *records[i];
     std::snprintf(peak, sizeof peak, "%.6g", record.peak_value);
-    table.add_row({record.rule, record.target, to_string(record.severity),
-                   record.pending_at.to_string(), record.fired_at.to_string(),
-                   record.resolved_at ? record.resolved_at->to_string()
-                                      : "still firing",
-                   peak, std::to_string(record.cycles_firing)});
+    std::vector<std::string> cells = {
+        record.rule, record.target, to_string(record.severity),
+        record.pending_at.to_string(), record.fired_at.to_string(),
+        record.resolved_at ? record.resolved_at->to_string() : "still firing",
+        peak, std::to_string(record.cycles_firing)};
+    if (!shards.empty()) cells.insert(cells.begin(), *shards[i]);
+    table.add_row(std::move(cells));
   }
   return table;
 }

@@ -33,6 +33,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -153,8 +154,6 @@ class AlertEngine {
   /// Every (rule, target) state, targets in name order, rules in rule
   /// order — deterministic for a given observation sequence.
   [[nodiscard]] std::vector<AlertStatus> status() const;
-  /// The subset of status() that is pending or firing.
-  [[nodiscard]] std::vector<AlertStatus> active() const;
   /// Every firing episode in transition order (open episodes last ones).
   [[nodiscard]] const std::vector<AlertRecord>& history() const {
     return history_;
@@ -210,6 +209,15 @@ class AlertEngine {
   bool provenance_enabled_ = true;
   Telemetry* telemetry_ = &Telemetry::noop();
 };
+
+/// The alert-history table over `records` in the given order: rule, target,
+/// severity, pending_at, fired_at, resolved_at ("still firing" while open),
+/// peak (%.6g) and cycles. A non-empty `shards`, parallel to `records`, adds
+/// a leading shard column. AlertEngine::history_table and both HTML reports
+/// render their histories through it.
+[[nodiscard]] SummaryTable alert_history_table(
+    std::span<const AlertRecord* const> records,
+    std::span<const std::string* const> shards = {});
 
 /// Replays recorded result streams through `engine` in exactly the order
 /// the live monitor evaluated them: ascending timestamp, ties broken by

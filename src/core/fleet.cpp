@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <tuple>
 
@@ -26,26 +27,14 @@ SummaryTable FleetStatus::shard_table() const {
 }
 
 SummaryTable FleetStatus::to_table() const {
-  SummaryTable table({"shard", "router", "health", "cycles", "stale_cycles",
-                      "spikes", "fail_streak", "last_success", "staleness",
-                      "lat_last_s", "lat_p50_s", "lat_p95_s", "lat_max_s"});
-  char buffer[4][32];
+  std::vector<std::string> columns = {"shard"};
+  columns.insert(columns.end(), std::begin(MonitorStatus::Target::kColumns),
+                 std::end(MonitorStatus::Target::kColumns));
+  SummaryTable table(std::move(columns));
   for (const TargetRow& row : targets) {
-    const MonitorStatus::Target& target = row.target;
-    std::snprintf(buffer[0], sizeof buffer[0], "%.3f",
-                  target.last_latency.total_seconds());
-    std::snprintf(buffer[1], sizeof buffer[1], "%.3f", target.latency_p50_s);
-    std::snprintf(buffer[2], sizeof buffer[2], "%.3f", target.latency_p95_s);
-    std::snprintf(buffer[3], sizeof buffer[3], "%.3f", target.latency_max_s);
-    table.add_row(
-        {row.shard, target.name, to_string(target.health),
-         std::to_string(target.cycles_recorded),
-         std::to_string(target.stale_cycles),
-         std::to_string(target.route_spikes),
-         std::to_string(target.consecutive_failures),
-         target.last_success ? target.last_success->to_string() : "never",
-         target.staleness.to_string(), buffer[0], buffer[1], buffer[2],
-         buffer[3]});
+    std::vector<std::string> cells = row.target.cells();
+    cells.insert(cells.begin(), row.shard);
+    table.add_row(std::move(cells));
   }
   return table;
 }
@@ -117,10 +106,6 @@ FleetReportData fleet_report_data_from(const FleetAggregator& fleet) {
     data.shards.push_back({name, report_data_from(fleet.shard(name))});
   }
   return data;
-}
-
-FleetProvenance fleet_provenance(const FleetAggregator& fleet) {
-  return fleet_provenance_from(fleet_report_data_from(fleet));
 }
 
 namespace {

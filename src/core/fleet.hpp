@@ -97,12 +97,6 @@ class FleetAggregator {
 [[nodiscard]] FleetReportData fleet_report_data_from(
     const FleetAggregator& fleet);
 
-/// The live fleet explain surface:
-/// fleet_provenance_from(fleet_report_data_from(fleet)). Every shard's
-/// ProvenanceRecords — event tails attached from each shard's SelfMonitor
-/// when one is attached — merged in (fired_at, shard, rule, target) order.
-[[nodiscard]] FleetProvenance fleet_provenance(const FleetAggregator& fleet);
-
 /// Fleet-wide metric federation: merges every shard's registry snapshot
 /// into one MetricsSnapshot. Counters are summed across shards per
 /// (name, labels) instance; gauges keep one sample per shard, tagged with a

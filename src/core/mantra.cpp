@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 #include <stdexcept>
-
-#include "sim/random.hpp"
 
 namespace mantra::core {
 
@@ -400,6 +399,7 @@ void Mantra::run_target_cycle(TargetState& target, sim::TimePoint now,
 
   if (target.archive) target.archive->append(snapshot, result);
 
+  target.summary.add(result);
   target.results.push_back(result);
   // The scratch snapshot becomes the latest; the displaced snapshot's
   // tables become next cycle's scratch capacity.
@@ -547,56 +547,53 @@ MonitorStatus Mantra::status() const {
   status.events_dropped = telemetry_->events().dropped();
   status.targets.reserve(targets_.size());
   for (const auto& [name, target] : targets_) {
+    const TargetSummary& summary = target->summary;
     MonitorStatus::Target row;
     row.name = name;
     row.health = target->health;
-    row.cycles_recorded = target->results.size();
+    row.cycles_recorded = summary.cycles;
+    row.stale_cycles = summary.stale_cycles;
+    row.route_spikes = summary.spikes;
     row.consecutive_failures = target->consecutive_failures;
     row.last_success = target->last_success;
     row.staleness = target->last_success
                         ? status.now - *target->last_success
                         : status.now - sim::TimePoint::start();
-    if (!target->results.empty()) {
-      row.last_latency = target->results.back().collection_latency;
-      std::vector<double> latencies;
-      latencies.reserve(target->results.size());
-      for (const CycleResult& result : target->results) {
-        latencies.push_back(result.collection_latency.total_seconds());
-        if (result.stale) ++row.stale_cycles;
-        if (result.route_spike) ++row.route_spikes;
-        row.latency_max_s = std::max(row.latency_max_s,
-                                     result.collection_latency.total_seconds());
-      }
-      row.latency_p50_s = sim::quantile(latencies, 0.5);
-      row.latency_p95_s = sim::quantile(latencies, 0.95);
-    }
+    row.last_latency = summary.last_latency;
+    row.latency_p50_s = summary.latency_quantile_s(0.5);
+    row.latency_p95_s = summary.latency_quantile_s(0.95);
+    row.latency_max_s = summary.latency_max_s();
     status.targets.push_back(std::move(row));
   }
   return status;
 }
 
+std::vector<std::string> MonitorStatus::Target::cells() const {
+  char buffer[4][32];
+  std::snprintf(buffer[0], sizeof buffer[0], "%.3f",
+                last_latency.total_seconds());
+  std::snprintf(buffer[1], sizeof buffer[1], "%.3f", latency_p50_s);
+  std::snprintf(buffer[2], sizeof buffer[2], "%.3f", latency_p95_s);
+  std::snprintf(buffer[3], sizeof buffer[3], "%.3f", latency_max_s);
+  return {name, to_string(health), std::to_string(cycles_recorded),
+          std::to_string(stale_cycles), std::to_string(route_spikes),
+          std::to_string(consecutive_failures),
+          last_success ? last_success->to_string() : "never",
+          staleness.to_string(), buffer[0], buffer[1], buffer[2], buffer[3]};
+}
+
 SummaryTable MonitorStatus::to_table() const {
-  SummaryTable table({"router", "health", "cycles", "stale_cycles", "spikes",
-                      "fail_streak", "last_success", "staleness", "lat_last_s",
-                      "lat_p50_s", "lat_p95_s", "lat_max_s", "drops"});
+  std::vector<std::string> columns(std::begin(Target::kColumns),
+                                   std::end(Target::kColumns));
+  columns.push_back("drops");
+  SummaryTable table(std::move(columns));
   // Monitor-wide telemetry back-pressure (spans + events discarded); the
   // count is not per-target, so every row repeats the same value.
   const std::string drops = std::to_string(trace_spans_dropped + events_dropped);
-  char buffer[4][32];
   for (const Target& target : targets) {
-    std::snprintf(buffer[0], sizeof buffer[0], "%.3f",
-                  target.last_latency.total_seconds());
-    std::snprintf(buffer[1], sizeof buffer[1], "%.3f", target.latency_p50_s);
-    std::snprintf(buffer[2], sizeof buffer[2], "%.3f", target.latency_p95_s);
-    std::snprintf(buffer[3], sizeof buffer[3], "%.3f", target.latency_max_s);
-    table.add_row(
-        {target.name, to_string(target.health),
-         std::to_string(target.cycles_recorded),
-         std::to_string(target.stale_cycles), std::to_string(target.route_spikes),
-         std::to_string(target.consecutive_failures),
-         target.last_success ? target.last_success->to_string() : "never",
-         target.staleness.to_string(), buffer[0], buffer[1], buffer[2],
-         buffer[3], drops});
+    std::vector<std::string> cells = target.cells();
+    cells.push_back(drops);
+    table.add_row(std::move(cells));
   }
   return table;
 }

@@ -115,11 +115,22 @@ struct MantraConfig {
 
 /// The "monitor of the monitor" report: a point-in-time summary of how well
 /// collection itself is going, per target — health, success recency and
-/// staleness age, failure streaks, and collection-latency percentiles
-/// computed from the recorded cycle history (deterministic sim time, so the
-/// report is identical with telemetry on or off).
+/// staleness age, failure streaks, and collection-latency percentiles over
+/// the recorded cycle history, read from each target's TargetSummary
+/// (deterministic sim time, so the report is identical with telemetry on or
+/// off).
 struct MonitorStatus {
   struct Target {
+    /// The columns of cells(), shared by MonitorStatus::to_table (which adds
+    /// a drops column) and FleetStatus::to_table (which leads with a shard).
+    static constexpr const char* kColumns[] = {
+        "router", "health", "cycles", "stale_cycles", "spikes", "fail_streak",
+        "last_success", "staleness", "lat_last_s", "lat_p50_s", "lat_p95_s",
+        "lat_max_s"};
+
+    /// This target's status row, one cell per kColumns entry.
+    [[nodiscard]] std::vector<std::string> cells() const;
+
     std::string name;
     TargetHealth health = TargetHealth::Healthy;
     std::size_t cycles_recorded = 0;       ///< cycles that produced a result
@@ -277,6 +288,7 @@ class Mantra {
     CycleCarry carry;  ///< route monitor, spike detector, derive storage
     std::unique_ptr<ArchiveWriter> archive;  ///< null when archiving is off
     std::vector<CycleResult> results;
+    TargetSummary summary;  ///< `results` folded, for status()
     Snapshot latest;
     /// Build area for the cycle in progress: every recorded cycle parses
     /// into these tables (capacity retained from two cycles ago) and then

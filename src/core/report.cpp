@@ -5,10 +5,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
+#include <span>
+#include <string_view>
+#include <tuple>
+#include <utility>
 
 #include "core/archive.hpp"
 #include "core/mantra.hpp"
-#include "sim/random.hpp"
 
 namespace mantra::core {
 
@@ -240,42 +245,6 @@ SummaryTable overview_table(const ReportData& data) {
                    std::to_string(last.sa_entries),
                    std::to_string(last.mbgp_routes), last.stale ? "yes" : "no",
                    last.t.to_string()});
-  }
-  return table;
-}
-
-SummaryTable status_table(const ReportData& data) {
-  SummaryTable table({"router", "cycles", "stale_cycles", "stale_fraction",
-                      "spikes", "alerts_fired", "lat_p50_s", "lat_p95_s",
-                      "lat_max_s", "last_cycle"});
-  for (const ReportTargetData& target : data.targets) {
-    std::size_t stale_cycles = 0;
-    std::size_t spikes = 0;
-    double lat_max = 0.0;
-    std::vector<double> latencies;
-    latencies.reserve(target.results.size());
-    for (const CycleResult& result : target.results) {
-      if (result.stale) ++stale_cycles;
-      if (result.route_spike) ++spikes;
-      const double lat = result.collection_latency.total_seconds();
-      latencies.push_back(lat);
-      lat_max = std::max(lat_max, lat);
-    }
-    std::size_t alerts_fired = 0;
-    for (const AlertRecord& record : data.alerts) {
-      if (record.target == target.name) ++alerts_fired;
-    }
-    const double fraction =
-        target.results.empty()
-            ? 0.0
-            : static_cast<double>(stale_cycles) /
-                  static_cast<double>(target.results.size());
-    table.add_row(
-        {target.name, std::to_string(target.results.size()),
-         std::to_string(stale_cycles), f2(fraction), std::to_string(spikes),
-         std::to_string(alerts_fired), f2(sim::quantile(latencies, 0.5)),
-         f2(sim::quantile(latencies, 0.95)), f2(lat_max),
-         target.results.empty() ? "never" : target.results.back().t.to_string()});
   }
   return table;
 }
@@ -648,6 +617,233 @@ constexpr const char* kStyle = R"css(
   footer { margin-top: 32px; color: #9ca3af; font-size: 11px; }
 )css";
 
+// --- sections both reports share ---------------------------------------------
+//
+// The single report renders one monitor, the fleet report one monitor per
+// shard. Both read every shared section through a ReportView; the fleet's
+// view is sharded, which leads each table with a shard column and heads each
+// monitor-health block with its shard. Nothing else differs.
+
+struct ReportView {
+  struct Monitor {
+    const std::string* shard = nullptr;  ///< null in the single report
+    const ReportData* data = nullptr;
+    std::vector<TargetSummary> summaries;  ///< data->targets' results, folded
+  };
+
+  bool sharded = false;
+  std::vector<Monitor> monitors;
+  // The headline over every monitor: the recorded window (ms) and counts.
+  std::optional<std::pair<std::int64_t, std::int64_t>> window;
+  std::size_t targets = 0, cycles = 0, spikes = 0, alerts = 0, firing_now = 0;
+
+  void add(const std::string* shard, const ReportData& data) {
+    Monitor& monitor = monitors.emplace_back(Monitor{shard, &data, {}});
+    targets += data.targets.size();
+    alerts += data.alerts.size();
+    for (const AlertStatus& status : data.alert_states) {
+      if (status.state == AlertState::firing) ++firing_now;
+    }
+    for (const ReportTargetData& target : data.targets) {
+      TargetSummary& summary = monitor.summaries.emplace_back();
+      for (const CycleResult& result : target.results) summary.add(result);
+      cycles += summary.cycles;
+      spikes += summary.spikes;
+      if (target.results.empty()) continue;
+      const std::int64_t first = target.results.front().t.total_ms();
+      const std::int64_t last = target.results.back().t.total_ms();
+      window = window ? std::pair(std::min(window->first, first),
+                                  std::max(window->second, last))
+                      : std::pair(first, last);
+    }
+  }
+
+  /// A table with `columns`, led by a shard column when sharded.
+  [[nodiscard]] SummaryTable table(std::vector<std::string> columns) const {
+    if (sharded) columns.insert(columns.begin(), "shard");
+    return SummaryTable(std::move(columns));
+  }
+
+  /// Adds `cells` to `table`, led by the monitor's shard when sharded.
+  static void add_row(SummaryTable& table, const Monitor& monitor,
+                      std::vector<std::string> cells) {
+    if (monitor.shard != nullptr) cells.insert(cells.begin(), *monitor.shard);
+    table.add_row(std::move(cells));
+  }
+};
+
+/// The page from the doctype to the window subtitle.
+std::string page_head(const std::string& title, const ReportView& view) {
+  std::string out = "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
+                    "<meta charset=\"utf-8\">\n<title>" +
+                    html_escape(title) + "</title>\n<style>" + kStyle +
+                    "</style>\n</head>\n<body>\n";
+  out += "<h1>" + html_escape(title) + "</h1>\n<p class=\"subtitle\">";
+  if (view.window) {
+    out += html_escape(sim::TimePoint::from_ms(view.window->first).to_string()) +
+           " — " +
+           html_escape(sim::TimePoint::from_ms(view.window->second).to_string()) +
+           " (simulated)";
+  } else {
+    out += "no recorded cycles";
+  }
+  return out + "</p>\n";
+}
+
+std::string page_foot(const std::string& footer) {
+  return "<footer>" + footer + "</footer>\n</body>\n</html>\n";
+}
+
+/// Every pending or firing (rule, target), monitor by monitor.
+SummaryTable active_alert_table(const ReportView& view) {
+  SummaryTable table =
+      view.table({"rule", "target", "severity", "state", "value", "since"});
+  for (const ReportView::Monitor& monitor : view.monitors) {
+    for (const AlertStatus& status : monitor.data->alert_states) {
+      if (status.state == AlertState::inactive) continue;
+      const auto& since = status.state == AlertState::firing
+                              ? status.firing_since
+                              : status.pending_since;
+      ReportView::add_row(table, monitor,
+                          {status.rule, status.target, to_string(status.severity),
+                           to_string(status.state), fnum(status.value),
+                           since ? since->to_string() : ""});
+    }
+  }
+  return table;
+}
+
+/// Alert or provenance records in report order, with their shards when the
+/// report is sharded (`shards` parallel to `records`, else empty).
+template <typename Record>
+struct RecordRows {
+  std::vector<const Record*> records;
+  std::vector<const std::string*> shards;
+};
+
+/// One monitor's records in its own (capture) order.
+template <typename Record>
+RecordRows<Record> in_order(const std::vector<Record>& records) {
+  RecordRows<Record> rows;
+  rows.records.reserve(records.size());
+  for (const Record& record : records) rows.records.push_back(&record);
+  return rows;
+}
+
+/// Every shard's records merged in (fired_at, shard, rule, target) order — a
+/// total order for real histories (one (rule, target) pair cannot fire twice
+/// at one instant), made unconditionally total by the pending_at tiebreak.
+/// No wall clock, no hash order: the same shard data merges to the same
+/// sequence however the shards were collected. Alert and provenance records
+/// merge alike, so the Nth drill-down explains the Nth merged history row.
+template <typename Record>
+RecordRows<Record> fleet_order(const FleetReportData& data,
+                               const std::vector<Record> ReportData::*member) {
+  std::vector<std::pair<const std::string*, const Record*>> merged;
+  for (const FleetShardData& shard : data.shards) {
+    for (const Record& record : shard.data.*member) {
+      merged.emplace_back(&shard.shard, &record);
+    }
+  }
+  std::sort(merged.begin(), merged.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.second->fired_at, *a.first, a.second->rule,
+                    a.second->target, a.second->pending_at) <
+           std::tie(b.second->fired_at, *b.first, b.second->rule,
+                    b.second->target, b.second->pending_at);
+  });
+  RecordRows<Record> rows;
+  for (const auto& [shard, record] : merged) {
+    rows.shards.push_back(shard);
+    rows.records.push_back(record);
+  }
+  return rows;
+}
+
+/// The first of the newest `cap` of `size` rows; notes a cut in `out`.
+std::size_t keep_newest(std::size_t size, std::size_t cap, const char* noun,
+                        std::string& out) {
+  if (size <= cap) return 0;
+  out += "<p class=\"muted\">showing the newest " + std::to_string(cap) +
+         " of " + std::to_string(size) + " " + noun + ".</p>\n";
+  return size - cap;
+}
+
+/// The alert history, newest `max_rows` kept.
+std::string history_section(const RecordRows<AlertRecord>& rows,
+                            std::size_t max_rows) {
+  if (rows.records.empty()) {
+    return "<p class=\"muted\">no alert fired during the run.</p>\n";
+  }
+  std::string out = "<h3>History</h3>\n";
+  const std::size_t start =
+      keep_newest(rows.records.size(), max_rows, "alerts", out);
+  const std::span<const std::string* const> shards(rows.shards);
+  out += html_table(alert_history_table(
+      std::span(rows.records).subspan(start),
+      shards.empty() ? shards : shards.subspan(start)));
+  return out;
+}
+
+/// One drill-down card per firing episode, newest `max_shown` kept.
+std::string drilldown_section(const RecordRows<ProvenanceRecord>& rows,
+                              std::size_t max_shown) {
+  if (rows.records.empty()) return "";
+  std::string out = "<h2>Alert drill-down</h2>\n";
+  const std::size_t start =
+      keep_newest(rows.records.size(), max_shown, "explanations", out);
+  for (std::size_t i = start; i < rows.records.size(); ++i) {
+    out += render_provenance_drilldown(
+        *rows.records[i], rows.shards.empty() ? nullptr : rows.shards[i]);
+  }
+  return out;
+}
+
+/// Per-target collection status, read from the folds. Each monitor's
+/// history is counted once for the alerts_fired column.
+SummaryTable collection_status_table(const ReportView& view) {
+  SummaryTable table = view.table(
+      {"router", "cycles", "stale_cycles", "stale_fraction", "spikes",
+       "alerts_fired", "lat_p50_s", "lat_p95_s", "lat_max_s", "last_cycle"});
+  for (const ReportView::Monitor& monitor : view.monitors) {
+    std::map<std::string_view, std::size_t> fired;
+    for (const AlertRecord& record : monitor.data->alerts) ++fired[record.target];
+    for (std::size_t i = 0; i < monitor.summaries.size(); ++i) {
+      const std::string& name = monitor.data->targets[i].name;
+      const TargetSummary& summary = monitor.summaries[i];
+      const double fraction = summary.cycles == 0
+                                  ? 0.0
+                                  : static_cast<double>(summary.stale_cycles) /
+                                        static_cast<double>(summary.cycles);
+      const auto alerts = fired.find(name);
+      ReportView::add_row(
+          table, monitor,
+          {name, std::to_string(summary.cycles),
+           std::to_string(summary.stale_cycles), f2(fraction),
+           std::to_string(summary.spikes),
+           std::to_string(alerts == fired.end() ? 0 : alerts->second),
+           f2(summary.latency_quantile_s(0.5)),
+           f2(summary.latency_quantile_s(0.95)), f2(summary.latency_max_s()),
+           summary.cycles == 0 ? "never" : summary.last_t.to_string()});
+    }
+  }
+  return table;
+}
+
+/// Every monitor's self-telemetry health; empty when none recorded any.
+std::string monitor_health_section(const ReportView& view,
+                                   const ReportOptions& options) {
+  std::string out;
+  for (const ReportView::Monitor& monitor : view.monitors) {
+    if (!monitor.data->health) continue;
+    if (out.empty()) out = "<h2>Monitor health</h2>\n";
+    if (monitor.shard != nullptr) {
+      out += "<h3>" + html_escape(*monitor.shard) + "</h3>\n";
+    }
+    out += render_monitor_health(*monitor.data->health, options);
+  }
+  return out;
+}
+
 }  // namespace
 
 ReportData report_data_from(const Mantra& monitor) {
@@ -696,120 +892,26 @@ ReportData report_data_from_replay(std::vector<ReportTargetData> targets,
 
 std::string render_html_report(const ReportData& data,
                                const ReportOptions& options) {
-  // Window + headline facts across all targets.
-  std::int64_t t0_ms = 0, t1_ms = 0;
-  bool have_window = false;
-  std::size_t total_cycles = 0, total_spikes = 0;
-  for (const ReportTargetData& target : data.targets) {
-    total_cycles += target.results.size();
-    for (const CycleResult& result : target.results) {
-      if (result.route_spike) ++total_spikes;
-    }
-    if (target.results.empty()) continue;
-    const std::int64_t first = target.results.front().t.total_ms();
-    const std::int64_t last = target.results.back().t.total_ms();
-    if (!have_window) {
-      t0_ms = first;
-      t1_ms = last;
-      have_window = true;
-    } else {
-      t0_ms = std::min(t0_ms, first);
-      t1_ms = std::max(t1_ms, last);
-    }
-  }
-  std::size_t firing_now = 0;
-  for (const AlertStatus& status : data.alert_states) {
-    if (status.state == AlertState::firing) ++firing_now;
-  }
+  ReportView view;
+  view.add(nullptr, data);
 
-  std::string out = "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-                    "<meta charset=\"utf-8\">\n<title>" +
-                    html_escape(options.title) + "</title>\n<style>" + kStyle +
-                    "</style>\n</head>\n<body>\n";
-  out += "<h1>" + html_escape(options.title) + "</h1>\n";
-  out += "<p class=\"subtitle\">";
-  if (have_window) {
-    out += html_escape(sim::TimePoint::from_ms(t0_ms).to_string()) + " — " +
-           html_escape(sim::TimePoint::from_ms(t1_ms).to_string()) +
-           " (simulated)";
-  } else {
-    out += "no recorded cycles";
-  }
-  out += "</p>\n";
-
+  std::string out = page_head(options.title, view);
   out += "<div class=\"tiles\">\n";
-  out += stat_tile(std::to_string(data.targets.size()), "targets");
-  out += stat_tile(std::to_string(total_cycles), "recorded cycles");
-  out += stat_tile(std::to_string(total_spikes), "route spikes");
-  out += stat_tile(std::to_string(data.alerts.size()), "alerts fired");
-  out += stat_tile(std::to_string(firing_now), "firing now");
+  out += stat_tile(std::to_string(view.targets), "targets");
+  out += stat_tile(std::to_string(view.cycles), "recorded cycles");
+  out += stat_tile(std::to_string(view.spikes), "route spikes");
+  out += stat_tile(std::to_string(view.alerts), "alerts fired");
+  out += stat_tile(std::to_string(view.firing_now), "firing now");
   out += "</div>\n";
 
   // --- alerts ---
   out += "<h2>Alerts</h2>\n";
-  std::vector<AlertStatus> active;
-  for (const AlertStatus& status : data.alert_states) {
-    if (status.state != AlertState::inactive) active.push_back(status);
-  }
-  if (active.empty()) {
-    out += "<p class=\"muted\">no alert is pending or firing.</p>\n";
-  } else {
-    SummaryTable table({"rule", "target", "severity", "state", "value",
-                        "since"});
-    for (const AlertStatus& status : active) {
-      const auto& since = status.state == AlertState::firing
-                              ? status.firing_since
-                              : status.pending_since;
-      table.add_row({status.rule, status.target, to_string(status.severity),
-                     to_string(status.state), fnum(status.value),
-                     since ? since->to_string() : ""});
-    }
-    out += html_table(table);
-  }
-  if (data.alerts.empty()) {
-    out += "<p class=\"muted\">no alert fired during the run.</p>\n";
-  } else {
-    out += "<h3>History</h3>\n";
-    SummaryTable table({"rule", "target", "severity", "pending_at", "fired_at",
-                        "resolved_at", "peak", "cycles"});
-    const std::size_t start =
-        data.alerts.size() > options.max_alert_rows
-            ? data.alerts.size() - options.max_alert_rows
-            : 0;
-    for (std::size_t i = start; i < data.alerts.size(); ++i) {
-      const AlertRecord& record = data.alerts[i];
-      table.add_row({record.rule, record.target, to_string(record.severity),
-                     record.pending_at.to_string(),
-                     record.fired_at.to_string(),
-                     record.resolved_at ? record.resolved_at->to_string()
-                                        : "still firing",
-                     fnum(record.peak_value),
-                     std::to_string(record.cycles_firing)});
-    }
-    if (start > 0) {
-      out += "<p class=\"muted\">showing the newest " +
-             std::to_string(options.max_alert_rows) + " of " +
-             std::to_string(data.alerts.size()) + " alerts.</p>\n";
-    }
-    out += html_table(table);
-  }
-
-  // --- alert drill-down (core/provenance) ---
-  if (!data.provenance.empty()) {
-    out += "<h2>Alert drill-down</h2>\n";
-    const std::size_t start =
-        data.provenance.size() > options.max_explained
-            ? data.provenance.size() - options.max_explained
-            : 0;
-    if (start > 0) {
-      out += "<p class=\"muted\">showing the newest " +
-             std::to_string(options.max_explained) + " of " +
-             std::to_string(data.provenance.size()) + " explanations.</p>\n";
-    }
-    for (std::size_t i = start; i < data.provenance.size(); ++i) {
-      out += render_provenance_drilldown(data.provenance[i], nullptr);
-    }
-  }
+  const SummaryTable active = active_alert_table(view);
+  out += active.row_count() == 0
+             ? "<p class=\"muted\">no alert is pending or firing.</p>\n"
+             : html_table(active);
+  out += history_section(in_order(data.alerts), options.max_alert_rows);
+  out += drilldown_section(in_order(data.provenance), options.max_explained);
 
   // --- per-target plots ---
   for (const ReportTargetData& target : data.targets) {
@@ -881,12 +983,9 @@ std::string render_html_report(const ReportData& data,
 
   // --- tables ---
   out += "<h2>Overview</h2>\n" + html_table(overview_table(data));
-  out += "<h2>Collection status</h2>\n" + html_table(status_table(data));
-
-  if (data.health) {
-    out += "<h2>Monitor health</h2>\n";
-    out += render_monitor_health(*data.health, options);
-  }
+  out += "<h2>Collection status</h2>\n" +
+         html_table(collection_status_table(view));
+  out += monitor_health_section(view, options);
 
   out += "<h2>Notable events</h2>\n";
   const std::vector<NotableEvent> events =
@@ -902,10 +1001,10 @@ std::string render_html_report(const ReportData& data,
     out += html_table(table);
   }
 
-  out += "<footer>mantra core/report — self-contained HTML+SVG, rendered "
-         "deterministically from recorded monitoring results; identical "
-         "bytes live or from archive replay.</footer>\n";
-  out += "</body>\n</html>\n";
+  out += page_foot(
+      "mantra core/report — self-contained HTML+SVG, rendered "
+      "deterministically from recorded monitoring results; identical bytes "
+      "live or from archive replay.");
   return out;
 }
 
@@ -920,122 +1019,6 @@ bool write_html_report(const std::string& path, const ReportData& data,
 // --- Fleet report (core/fleet aggregation tier) ------------------------------
 
 namespace {
-
-/// One shard's alert record with its shard tag — the unit of the fleet-wide
-/// alert merge. Pointers borrow from the FleetReportData being rendered.
-struct FleetAlertRow {
-  const std::string* shard = nullptr;
-  const AlertRecord* record = nullptr;
-};
-
-/// Every shard's history merged in (fired_at, shard, rule, target) order —
-/// a total order for real histories (one (rule, target) pair cannot fire
-/// twice at one instant), made unconditionally total by the pending_at
-/// tiebreak. No wall clock, no hash order: the same shard data merges to
-/// the same sequence however the shards were collected.
-std::vector<FleetAlertRow> merged_alert_history(const FleetReportData& data) {
-  std::vector<FleetAlertRow> rows;
-  for (const FleetShardData& shard : data.shards) {
-    for (const AlertRecord& record : shard.data.alerts) {
-      rows.push_back({&shard.shard, &record});
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const FleetAlertRow& a, const FleetAlertRow& b) {
-              if (a.record->fired_at != b.record->fired_at) {
-                return a.record->fired_at.total_ms() <
-                       b.record->fired_at.total_ms();
-              }
-              if (*a.shard != *b.shard) return *a.shard < *b.shard;
-              if (a.record->rule != b.record->rule) {
-                return a.record->rule < b.record->rule;
-              }
-              if (a.record->target != b.record->target) {
-                return a.record->target < b.record->target;
-              }
-              return a.record->pending_at.total_ms() <
-                     b.record->pending_at.total_ms();
-            });
-  return rows;
-}
-
-/// The per-target collection-status table with a shard column — the same
-/// derivations as the single-monitor status_table, fleet-wide.
-SummaryTable fleet_status_table(const FleetReportData& data) {
-  SummaryTable table({"shard", "router", "cycles", "stale_cycles",
-                      "stale_fraction", "spikes", "alerts_fired", "lat_p50_s",
-                      "lat_p95_s", "lat_max_s", "last_cycle"});
-  for (const FleetShardData& shard : data.shards) {
-    for (const ReportTargetData& target : shard.data.targets) {
-      std::size_t stale_cycles = 0;
-      std::size_t spikes = 0;
-      double lat_max = 0.0;
-      std::vector<double> latencies;
-      latencies.reserve(target.results.size());
-      for (const CycleResult& result : target.results) {
-        if (result.stale) ++stale_cycles;
-        if (result.route_spike) ++spikes;
-        const double lat = result.collection_latency.total_seconds();
-        latencies.push_back(lat);
-        lat_max = std::max(lat_max, lat);
-      }
-      std::size_t alerts_fired = 0;
-      for (const AlertRecord& record : shard.data.alerts) {
-        if (record.target == target.name) ++alerts_fired;
-      }
-      const double fraction =
-          target.results.empty()
-              ? 0.0
-              : static_cast<double>(stale_cycles) /
-                    static_cast<double>(target.results.size());
-      table.add_row({shard.shard, target.name,
-                     std::to_string(target.results.size()),
-                     std::to_string(stale_cycles), f2(fraction),
-                     std::to_string(spikes), std::to_string(alerts_fired),
-                     f2(sim::quantile(latencies, 0.5)),
-                     f2(sim::quantile(latencies, 0.95)), f2(lat_max),
-                     target.results.empty()
-                         ? "never"
-                         : target.results.back().t.to_string()});
-    }
-  }
-  return table;
-}
-
-/// Every shard's provenance merged in (fired_at, shard, rule, target)
-/// order — the same total order as merged_alert_history, so the Nth
-/// drill-down explains the Nth merged history row. Pointers borrow from
-/// the FleetReportData being rendered.
-struct FleetProvenanceRow {
-  const std::string* shard = nullptr;
-  const ProvenanceRecord* record = nullptr;
-};
-
-std::vector<FleetProvenanceRow> merged_provenance(const FleetReportData& data) {
-  std::vector<FleetProvenanceRow> rows;
-  for (const FleetShardData& shard : data.shards) {
-    for (const ProvenanceRecord& record : shard.data.provenance) {
-      rows.push_back({&shard.shard, &record});
-    }
-  }
-  std::sort(rows.begin(), rows.end(),
-            [](const FleetProvenanceRow& a, const FleetProvenanceRow& b) {
-              if (a.record->fired_at != b.record->fired_at) {
-                return a.record->fired_at.total_ms() <
-                       b.record->fired_at.total_ms();
-              }
-              if (*a.shard != *b.shard) return *a.shard < *b.shard;
-              if (a.record->rule != b.record->rule) {
-                return a.record->rule < b.record->rule;
-              }
-              if (a.record->target != b.record->target) {
-                return a.record->target < b.record->target;
-              }
-              return a.record->pending_at.total_ms() <
-                     b.record->pending_at.total_ms();
-            });
-  return rows;
-}
 
 /// Top-K targets by last-cycle bandwidth, ties broken (shard, name) — a
 /// fixed order even when many idle targets report 0.0 kbps.
@@ -1095,71 +1078,32 @@ FleetReportData fleet_report_data_from_replay(
 }
 
 FleetProvenance fleet_provenance_from(const FleetReportData& data) {
+  const RecordRows<ProvenanceRecord> rows =
+      fleet_order(data, &ReportData::provenance);
   FleetProvenance merged;
-  const std::vector<FleetProvenanceRow> rows = merged_provenance(data);
-  merged.records.reserve(rows.size());
-  merged.shards.reserve(rows.size());
-  for (const FleetProvenanceRow& row : rows) {
-    merged.records.push_back(*row.record);
-    merged.shards.push_back(*row.shard);
+  merged.records.reserve(rows.records.size());
+  merged.shards.reserve(rows.records.size());
+  for (std::size_t i = 0; i < rows.records.size(); ++i) {
+    merged.records.push_back(*rows.records[i]);
+    merged.shards.push_back(*rows.shards[i]);
   }
   return merged;
 }
 
 std::string render_fleet_html_report(const FleetReportData& data,
                                      const FleetReportOptions& options) {
-  // Window + headline facts across every shard.
-  std::int64_t t0_ms = 0, t1_ms = 0;
-  bool have_window = false;
-  std::size_t total_targets = 0, total_cycles = 0, total_spikes = 0;
-  std::size_t total_alerts = 0, firing_now = 0;
-  for (const FleetShardData& shard : data.shards) {
-    total_targets += shard.data.targets.size();
-    total_alerts += shard.data.alerts.size();
-    for (const AlertStatus& status : shard.data.alert_states) {
-      if (status.state == AlertState::firing) ++firing_now;
-    }
-    for (const ReportTargetData& target : shard.data.targets) {
-      total_cycles += target.results.size();
-      for (const CycleResult& result : target.results) {
-        if (result.route_spike) ++total_spikes;
-      }
-      if (target.results.empty()) continue;
-      const std::int64_t first = target.results.front().t.total_ms();
-      const std::int64_t last = target.results.back().t.total_ms();
-      if (!have_window) {
-        t0_ms = first;
-        t1_ms = last;
-        have_window = true;
-      } else {
-        t0_ms = std::min(t0_ms, first);
-        t1_ms = std::max(t1_ms, last);
-      }
-    }
-  }
+  ReportView view;
+  view.sharded = true;
+  for (const FleetShardData& shard : data.shards) view.add(&shard.shard, shard.data);
 
-  std::string out = "<!DOCTYPE html>\n<html lang=\"en\">\n<head>\n"
-                    "<meta charset=\"utf-8\">\n<title>" +
-                    html_escape(options.title) + "</title>\n<style>" + kStyle +
-                    "</style>\n</head>\n<body>\n";
-  out += "<h1>" + html_escape(options.title) + "</h1>\n";
-  out += "<p class=\"subtitle\">";
-  if (have_window) {
-    out += html_escape(sim::TimePoint::from_ms(t0_ms).to_string()) + " — " +
-           html_escape(sim::TimePoint::from_ms(t1_ms).to_string()) +
-           " (simulated)";
-  } else {
-    out += "no recorded cycles";
-  }
-  out += "</p>\n";
-
+  std::string out = page_head(options.title, view);
   out += "<div class=\"tiles\">\n";
   out += stat_tile(std::to_string(data.shards.size()), "shards");
-  out += stat_tile(std::to_string(total_targets), "targets");
-  out += stat_tile(std::to_string(total_cycles), "recorded cycles");
-  out += stat_tile(std::to_string(total_spikes), "route spikes");
-  out += stat_tile(std::to_string(total_alerts), "alerts fired");
-  out += stat_tile(std::to_string(firing_now), "firing now");
+  out += stat_tile(std::to_string(view.targets), "targets");
+  out += stat_tile(std::to_string(view.cycles), "recorded cycles");
+  out += stat_tile(std::to_string(view.spikes), "route spikes");
+  out += stat_tile(std::to_string(view.alerts), "alerts fired");
+  out += stat_tile(std::to_string(view.firing_now), "firing now");
   out += "</div>\n";
 
   // --- per-shard health tiles ---
@@ -1177,73 +1121,15 @@ std::string render_fleet_html_report(const FleetReportData& data,
 
   // --- fleet-wide alerts ---
   out += "<h2>Fleet alerts</h2>\n";
-  {
-    SummaryTable table({"shard", "rule", "target", "severity", "state",
-                        "value", "since"});
-    for (const FleetShardData& shard : data.shards) {
-      for (const AlertStatus& status : shard.data.alert_states) {
-        if (status.state == AlertState::inactive) continue;
-        const auto& since = status.state == AlertState::firing
-                                ? status.firing_since
-                                : status.pending_since;
-        table.add_row({shard.shard, status.rule, status.target,
-                       to_string(status.severity), to_string(status.state),
-                       fnum(status.value),
-                       since ? since->to_string() : ""});
-      }
-    }
-    if (table.row_count() == 0) {
-      out += "<p class=\"muted\">no alert is pending or firing anywhere in "
-             "the fleet.</p>\n";
-    } else {
-      out += html_table(table);
-    }
-  }
-  const std::vector<FleetAlertRow> merged = merged_alert_history(data);
-  if (merged.empty()) {
-    out += "<p class=\"muted\">no alert fired during the run.</p>\n";
-  } else {
-    out += "<h3>History</h3>\n";
-    SummaryTable table({"shard", "rule", "target", "severity", "pending_at",
-                        "fired_at", "resolved_at", "peak", "cycles"});
-    const std::size_t start = merged.size() > options.max_alert_rows
-                                  ? merged.size() - options.max_alert_rows
-                                  : 0;
-    for (std::size_t i = start; i < merged.size(); ++i) {
-      const AlertRecord& record = *merged[i].record;
-      table.add_row({*merged[i].shard, record.rule, record.target,
-                     to_string(record.severity), record.pending_at.to_string(),
-                     record.fired_at.to_string(),
-                     record.resolved_at ? record.resolved_at->to_string()
-                                        : "still firing",
-                     fnum(record.peak_value),
-                     std::to_string(record.cycles_firing)});
-    }
-    if (start > 0) {
-      out += "<p class=\"muted\">showing the newest " +
-             std::to_string(options.max_alert_rows) + " of " +
-             std::to_string(merged.size()) + " alerts.</p>\n";
-    }
-    out += html_table(table);
-  }
-
-  // --- fleet-wide alert drill-down (core/provenance) ---
-  const std::vector<FleetProvenanceRow> explained = merged_provenance(data);
-  if (!explained.empty()) {
-    out += "<h2>Alert drill-down</h2>\n";
-    const std::size_t start = explained.size() > options.max_explained
-                                  ? explained.size() - options.max_explained
-                                  : 0;
-    if (start > 0) {
-      out += "<p class=\"muted\">showing the newest " +
-             std::to_string(options.max_explained) + " of " +
-             std::to_string(explained.size()) + " explanations.</p>\n";
-    }
-    for (std::size_t i = start; i < explained.size(); ++i) {
-      out += render_provenance_drilldown(*explained[i].record,
-                                         explained[i].shard);
-    }
-  }
+  const SummaryTable active = active_alert_table(view);
+  out += active.row_count() == 0
+             ? "<p class=\"muted\">no alert is pending or firing anywhere in "
+               "the fleet.</p>\n"
+             : html_table(active);
+  out += history_section(fleet_order(data, &ReportData::alerts),
+                         options.max_alert_rows);
+  out += drilldown_section(fleet_order(data, &ReportData::provenance),
+                           options.max_explained);
 
   // --- top-K busiest targets ---
   out += "<h2>Busiest targets</h2>\n";
@@ -1254,38 +1140,15 @@ std::string render_fleet_html_report(const FleetReportData& data,
     out += html_table(busiest);
   }
 
-  // --- per-target collection status ---
-  out += "<h2>Collection status</h2>\n" + html_table(fleet_status_table(data));
+  out += "<h2>Collection status</h2>\n" +
+         html_table(collection_status_table(view));
+  out += monitor_health_section(view, ReportOptions{});  // default plot geometry
 
-  // --- per-shard monitor health ---
-  bool any_health = false;
-  for (const FleetShardData& shard : data.shards) {
-    if (shard.data.health) any_health = true;
-  }
-  if (any_health) {
-    out += "<h2>Monitor health</h2>\n";
-    const ReportOptions plot_options;  // default plot geometry
-    for (const FleetShardData& shard : data.shards) {
-      if (!shard.data.health) continue;
-      out += "<h3>" + html_escape(shard.shard) + "</h3>\n";
-      out += render_monitor_health(*shard.data.health, plot_options);
-    }
-  }
-
-  out += "<footer>mantra core/report — fleet view over sharded monitors, "
-         "rendered deterministically from recorded monitoring results; "
-         "identical bytes live or from archive replay.</footer>\n";
-  out += "</body>\n</html>\n";
+  out += page_foot(
+      "mantra core/report — fleet view over sharded monitors, rendered "
+      "deterministically from recorded monitoring results; identical bytes "
+      "live or from archive replay.");
   return out;
-}
-
-bool write_fleet_html_report(const std::string& path,
-                             const FleetReportData& data,
-                             const FleetReportOptions& options) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out << render_fleet_html_report(data, options);
-  return static_cast<bool>(out);
 }
 
 }  // namespace mantra::core

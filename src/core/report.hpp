@@ -95,11 +95,12 @@ bool write_html_report(const std::string& path, const ReportData& data,
 
 // --- Fleet report (core/fleet aggregation tier) -----------------------------
 //
-// One document over N shards: per-shard health tiles, the fleet-wide alert
-// table (every shard's history merged in (fired_at, shard, rule, target)
-// order), the top-K busiest targets across the fleet, and a per-target
-// collection-status table with a shard column. Same determinism contract as
-// the single-monitor report: pure function of replay-derivable facts, fixed
+// One document over N shards: the single report's alert tables, drill-down
+// list, collection-status table and monitor-health section, each with a
+// shard column (history and drill-downs merged across shards in (fired_at,
+// shard, rule, target) order), plus per-shard health tiles and the top-K
+// busiest targets across the fleet. Same determinism contract as the
+// single-monitor report: pure function of replay-derivable facts, fixed
 // iteration order everywhere, so the live fleet report and one rebuilt from
 // the shards' .marc archives are byte-identical.
 
@@ -169,10 +170,5 @@ struct FleetProvenance {
 /// bytes.
 [[nodiscard]] std::string render_fleet_html_report(
     const FleetReportData& data, const FleetReportOptions& options = {});
-
-/// Renders and writes; false on I/O failure, never throws.
-bool write_fleet_html_report(const std::string& path,
-                             const FleetReportData& data,
-                             const FleetReportOptions& options = {});
 
 }  // namespace mantra::core

@@ -579,7 +579,8 @@ std::vector<std::string> prometheus_lint(std::string_view exposition) {
 
     if (types[family] != "histogram") continue;
 
-    // Histogram consistency: group by labels minus `le`, in text order.
+    // Histogram consistency: group by labels minus `le`, in text order. The
+    // key re-escapes each value, so distinct label sets never share a key.
     std::string le_value;
     bool has_le = false;
     std::string instance_key = family + "|";
@@ -591,7 +592,7 @@ std::vector<std::string> prometheus_lint(std::string_view exposition) {
         has_le = true;
         continue;
       }
-      instance_key += key + "=" + value + "|";
+      instance_key += key + "=\"" + prom_label_escape(value) + "\",";
     }
     HistogramState& state = histograms[instance_key];
     if (sample.name.compare(sample.name.size() -

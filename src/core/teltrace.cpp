@@ -809,43 +809,6 @@ std::vector<SelfRule> default_self_rules() {
   };
   rules.push_back(std::move(fsync_latency));
 
-  // The serving layer stopped benefiting from its cache: per-cycle hit
-  // fraction of the query block cache (fires below the threshold; an idle
-  // cycle with no lookups counts as healthy).
-  SelfRule cache;
-  cache.rule.name = "cache_hit_rate";
-  cache.rule.severity = AlertSeverity::info;
-  cache.rule.kind = AlertRule::Kind::threshold;
-  cache.rule.aggregate = AlertRule::Aggregate::mean;
-  cache.rule.window = 12;
-  cache.rule.fire_above = false;
-  cache.rule.fire_threshold = 0.2;
-  cache.rule.clear_threshold = 0.5;
-  cache.rule.for_cycles = 3;
-  cache.rule.clear_for_cycles = 6;
-  cache.value = [](const TelemetrySample* prev, const TelemetrySample& cur) {
-    const auto family_total = [](const MetricsSnapshot& metrics,
-                                 std::string_view name) {
-      std::uint64_t total = 0;
-      for (const MetricsSnapshot::CounterSample& counter : metrics.counters) {
-        if (counter.name == name) total += counter.value;
-      }
-      return total;
-    };
-    std::uint64_t hits = family_total(cur.metrics, "mantra_query_cache_hits_total");
-    std::uint64_t misses =
-        family_total(cur.metrics, "mantra_query_cache_misses_total");
-    if (prev != nullptr) {
-      hits -= family_total(prev->metrics, "mantra_query_cache_hits_total");
-      misses -= family_total(prev->metrics, "mantra_query_cache_misses_total");
-    }
-    const std::uint64_t lookups = hits + misses;
-    return lookups == 0
-               ? 1.0
-               : static_cast<double>(hits) / static_cast<double>(lookups);
-  };
-  rules.push_back(std::move(cache));
-
   return rules;
 }
 

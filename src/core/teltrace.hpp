@@ -262,7 +262,6 @@ struct SelfRule {
 ///   pool_queue_depth      sustained mean of the per-cycle queue-depth peak
 ///   capture_failure_rate  non-ok fraction of capture outcomes per cycle
 ///   archive_write_latency windowed p95 of archive fsync wall time
-///   cache_hit_rate        per-cycle block-cache hit fraction (fires below)
 [[nodiscard]] std::vector<SelfRule> default_self_rules();
 
 struct SelfMonitorConfig {

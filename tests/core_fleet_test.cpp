@@ -293,7 +293,7 @@ TEST_F(FleetFixture, LiveAndReplayFleetExplanationsAreByteIdentical) {
                               std::size_t{2}}) {
     fleet.add_shard(shard_name(i), *shards[i]);
   }
-  const FleetProvenance live = fleet_provenance(fleet);
+  const FleetProvenance live = fleet_provenance_from(fleet_report_data_from(fleet));
   ASSERT_FALSE(live.records.empty());
   ASSERT_EQ(live.records.size(), live.shards.size());
   // The merge is in (fired_at, shard, rule, target) order.

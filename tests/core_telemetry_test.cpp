@@ -1,22 +1,29 @@
 // core/telemetry: metric registry semantics and expositions, tracer spans,
-// event log ring; thread-safety under the worker pool; and the tentpole
+// event log ring; thread-safety under the worker pool; the tentpole
 // invariant — telemetry is write-only from the monitored path, so a run's
 // results, CSV series and archive bytes are byte-identical with the sinks
-// enabled or disabled.
+// enabled or disabled; and seeded fuzzing of the two text encoders that
+// operator-controlled names reach (logfmt and the Prometheus exposition,
+// single-monitor and fleet-federated).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/fleet.hpp"
 #include "core/mantra.hpp"
 #include "core/parallel.hpp"
 #include "core/telemetry.hpp"
+#include "fuzz_mutate.hpp"
 #include "workload/scenario.hpp"
 
 namespace mantra::core {
@@ -851,6 +858,205 @@ TEST(TelemetryOrdering, SequentialAndPooledRunsEmitIdenticalBytes) {
                                   "\"name\": \"thread_name\", "
                                   "\"args\": {\"name\": \"fixw\"}}"),
             std::string::npos);
+}
+
+// --- Fuzzed text encoders ----------------------------------------------------
+//
+// Target, shard and rule names are operator-controlled. They reach logfmt
+// (the event log and the fleet's merged event stream) and the Prometheus
+// exposition (label values, including the `shard` label the fleet
+// federation splices into serialized label strings). Seeded edits of hostile
+// names must lint clean and come back unchanged from both encoders. Metric
+// names and event names are code constants and are not fuzzed.
+
+/// Hostile names, then seeded edits of them (tests/fuzz_mutate.hpp).
+std::vector<std::string> hostile_names(std::uint32_t seed, std::size_t count) {
+  const std::vector<std::string> base = {
+      "fixw",         "gone dark",   "a=b=c",         "say \"hi\"",
+      "C:\\mantra\\", "l1\nl2",      "l1\r\nl2",      "c1\tc2",
+      "",             "\\",          "\"",            "}",
+      "{a=\"b\"}",    "x\",y=\"z",   "shard=\"s\"",   "a|b=c",
+      std::string("nul\0byte", 8), "\x01\x7f",     "\xc3\xa9t\xe9", "trail\\"};
+  std::mt19937 rng(seed);
+  std::vector<std::string> out = base;
+  while (out.size() < count) {
+    out.push_back(mantra::fuzz::mutate(base[rng() % base.size()], rng).first);
+  }
+  return out;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+using Pairs = std::vector<std::pair<std::string, std::string>>;
+
+TEST(EncoderFuzz, LogfmtLinesParseBackToTheLoggedFields) {
+  const std::vector<std::string> names = hostile_names(0x10f3u, 600);
+  EventLog log(/*enabled=*/true, /*capacity=*/names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    log.log(EventLevel::warn, "capture_failed",
+            sim::TimePoint::from_ms(static_cast<std::int64_t>(i)),
+            {{"target", names[i]}, {"detail", names[(i * 7 + 3) % names.size()]}});
+  }
+  const std::vector<std::string> lines = lines_of(log.logfmt());
+  ASSERT_EQ(lines.size(), names.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const Pairs want = {{"sim_ts", std::to_string(i)},
+                        {"level", "warn"},
+                        {"event", "capture_failed"},
+                        {"target", names[i]},
+                        {"detail", names[(i * 7 + 3) % names.size()]}};
+    EXPECT_EQ(parse_logfmt_line(lines[i]), want) << "event " << i;
+  }
+}
+
+/// Two telemetry-only monitors registered as shards under hostile names.
+struct FuzzFleet {
+  explicit FuzzFleet(const std::vector<std::string>& shard_names) {
+    MantraConfig config;
+    config.telemetry.enabled = true;
+    config.telemetry.max_spans = 16;
+    for (const std::string& name : shard_names) {
+      monitors.push_back(std::make_unique<Mantra>(engine, config));
+      fleet.add_shard(name, *monitors.back());
+    }
+  }
+
+  sim::Engine engine;
+  std::vector<std::unique_ptr<Mantra>> monitors;
+  FleetAggregator fleet;
+};
+
+/// Two distinct, non-empty shard names for round `round`.
+std::vector<std::string> shard_pair(const std::vector<std::string>& names,
+                                    std::size_t round) {
+  std::string a = "s" + names[round % names.size()];
+  std::string b = "t" + names[(round * 5 + 1) % names.size()];
+  return {a, b};
+}
+
+TEST(EncoderFuzz, FederatedLogfmtLinesParseBackWithTheirShard) {
+  const std::vector<std::string> names = hostile_names(0x5e7du, 200);
+  for (std::size_t round = 0; round < 40; ++round) {
+    const std::vector<std::string> shards = shard_pair(names, round);
+    FuzzFleet fuzz(shards);
+    std::vector<Pairs> want;
+    for (std::size_t s = 0; s < shards.size(); ++s) {
+      const std::string& value = names[(round * 3 + s) % names.size()];
+      fuzz.monitors[s]->telemetry().events().log(
+          EventLevel::info, "target_recovered", sim::TimePoint::from_ms(1000),
+          {{"target", value}, {"health", "healthy"}});
+      want.push_back({{"sim_ts", "1000"},
+                      {"shard", shards[s]},
+                      {"level", "info"},
+                      {"event", "target_recovered"},
+                      {"target", value},
+                      {"health", "healthy"}});
+    }
+    // The merge orders same-instant events by shard name.
+    if (shards[1] < shards[0]) std::swap(want[0], want[1]);
+    const std::vector<std::string> lines = lines_of(federated_events_logfmt(fuzz.fleet));
+    ASSERT_EQ(lines.size(), 2u) << "round " << round;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      EXPECT_EQ(parse_logfmt_line(lines[i]), want[i]) << "round " << round;
+    }
+  }
+}
+
+/// Every sample line's labels, values unescaped (\\, \" and \n), `le`
+/// left out.
+std::multiset<std::pair<std::string, std::string>> exposition_labels(
+    const std::string& text) {
+  std::multiset<std::pair<std::string, std::string>> labels;
+  for (const std::string& line : lines_of(text)) {
+    if (line.empty() || line[0] == '#') continue;
+    std::size_t i = line.find_first_of("{ ");
+    if (i == std::string::npos || line[i] != '{') continue;
+    ++i;
+    while (i < line.size() && line[i] != '}') {
+      const std::size_t eq = line.find('=', i);
+      const std::string key = line.substr(i, eq - i);
+      std::string value;
+      for (i = eq + 2; i < line.size() && line[i] != '"'; ++i) {
+        if (line[i] == '\\') {
+          ++i;
+          value.push_back(line[i] == 'n' ? '\n' : line[i]);
+        } else {
+          value.push_back(line[i]);
+        }
+      }
+      ++i;  // closing quote
+      if (i < line.size() && line[i] == ',') ++i;
+      if (key != "le") labels.emplace(key, value);
+    }
+  }
+  return labels;
+}
+
+/// Registers one counter, gauge and histogram instance labeled with the
+/// round's names; `bounds` lets shards disagree on histogram buckets.
+void record_hostile(MetricsRegistry& registry, const std::string& target,
+                    const std::string& rule, const std::vector<double>& bounds) {
+  registry.counter("mantra_fuzz_total", {{"target", target}}).inc();
+  registry.counter("mantra_fuzz_total", {{"rule", rule}, {"target", target}}).inc(2);
+  registry.gauge("mantra_fuzz_state", {{"rule", rule}, {"target", target}}).set(1.5);
+  registry.histogram("mantra_fuzz_seconds", {{"rule", rule}, {"target", target}}, bounds)
+      .observe(0.3);
+}
+
+TEST(EncoderFuzz, PrometheusLabelValuesLintCleanAndRoundTrip) {
+  const std::vector<std::string> names = hostile_names(0x9e01u, 400);
+  for (std::size_t round = 0; round < names.size(); ++round) {
+    const std::string& target = names[round];
+    const std::string& rule = names[(round * 11 + 5) % names.size()];
+    MetricsRegistry registry(/*enabled=*/true);
+    record_hostile(registry, target, rule, {0.1, 1.0});
+    const std::string text = registry.prometheus_text();
+    EXPECT_EQ(prometheus_lint(text), std::vector<std::string>{}) << "round " << round;
+    const auto labels = exposition_labels(text);
+    // Two counters, the gauge, and the histogram's 3 buckets, _sum and _count.
+    EXPECT_EQ(labels.count({"target", target}), 2u + 1u + 5u) << "round " << round;
+    EXPECT_EQ(labels.count({"rule", rule}), 1u + 1u + 5u) << "round " << round;
+  }
+}
+
+// Regression: the linter grouped histogram samples by `key=value|` over the
+// unescaped values, so two instances whose values carry '|' and '=' shared
+// one key and read as a single bucket run with buckets after le="+Inf".
+TEST(EncoderFuzz, LintKeepsHistogramInstancesWithSeparatorValuesApart) {
+  MetricsRegistry registry(/*enabled=*/true);
+  registry.histogram("mantra_fuzz_seconds", {{"rule", "x|target=y"}, {"target", "z"}}, {1.0})
+      .observe(0.5);
+  registry.histogram("mantra_fuzz_seconds", {{"rule", "x"}, {"target", "y|target=z"}}, {1.0})
+      .observe(0.5);
+  EXPECT_EQ(prometheus_lint(registry.prometheus_text()), std::vector<std::string>{});
+}
+
+TEST(EncoderFuzz, FederatedPrometheusLabelValuesLintCleanAndRoundTrip) {
+  const std::vector<std::string> names = hostile_names(0xfed5u, 200);
+  for (std::size_t round = 0; round < 40; ++round) {
+    const std::vector<std::string> shards = shard_pair(names, round);
+    FuzzFleet fuzz(shards);
+    const std::string& target = names[(round * 3) % names.size()];
+    const std::string& rule = names[(round * 7 + 2) % names.size()];
+    // Disagreeing bounds keep each shard's histogram behind its shard label.
+    record_hostile(fuzz.monitors[0]->telemetry().metrics(), target, rule, {0.1, 1.0});
+    record_hostile(fuzz.monitors[1]->telemetry().metrics(), target, rule, {0.5});
+    const std::string text = federated_prometheus_text(fuzz.fleet);
+    EXPECT_EQ(prometheus_lint(text), std::vector<std::string>{}) << "round " << round;
+    const auto labels = exposition_labels(text);
+    // Each shard: its gauge and its histogram run (3 or 2 buckets, _sum and
+    // _count).
+    EXPECT_EQ(labels.count({"shard", shards[0]}), 1u + 5u) << "round " << round;
+    EXPECT_EQ(labels.count({"shard", shards[1]}), 1u + 4u) << "round " << round;
+    // Two summed counters, two gauges, two histogram runs.
+    EXPECT_EQ(labels.count({"target", target}), 2u + 2u + 5u + 4u) << "round " << round;
+    EXPECT_EQ(labels.count({"rule", rule}), 1u + 2u + 5u + 4u) << "round " << round;
+  }
 }
 
 }  // namespace
