@@ -159,6 +159,74 @@ TEST_F(MantraPipeline, LoggerRecordsEveryCycleAndReconstructs) {
   EXPECT_EQ(rebuilt.routes.size(), latest.routes.size());
 }
 
+// The §III byte ledger, pinned on a seeded faulty two-target run: 20 %
+// command failures with retries off over 12 sim hours, so each target has
+// dark cycles (skipped, never logged) and stale tables (logged as carried
+// forward). The constants were read from the in-cycle per-target loggers
+// under the default LoggerConfig and each of its three ablations. Never
+// regenerate them: a ledger fed from elsewhere must reproduce them.
+struct LedgerPin {
+  std::size_t cycles;
+  std::uint64_t stored_bytes;
+  std::uint64_t naive_bytes;
+};
+
+TEST_F(MantraPipeline, LedgerBytesArePinnedOnAFaultyTwoTargetRun) {
+  LoggerConfig no_deltas;
+  no_deltas.store_deltas = false;
+  LoggerConfig derived_stored;
+  derived_stored.derive_redundant = false;
+  LoggerConfig short_keyframes;
+  short_keyframes.full_snapshot_every = 4;
+  struct Case {
+    const char* label;
+    LoggerConfig logger;
+    LedgerPin fixw;
+    LedgerPin ucsb;
+  };
+  const Case cases[] = {
+      {"default", LoggerConfig{}, {47, 110682, 402529}, {46, 115703, 393273}},
+      {"store_deltas=false", no_deltas, {47, 402529, 402529}, {46, 393273, 393273}},
+      {"derive_redundant=false", derived_stored, {47, 110682, 526344},
+       {46, 115703, 514823}},
+      {"full_snapshot_every=4", short_keyframes, {47, 183264, 402529},
+       {46, 181871, 393273}},
+  };
+
+  for (const Case& c : cases) {
+    workload::FixwScenario scenario(make_config());
+    scenario.start();
+    MantraConfig config;
+    config.cycle = sim::Duration::minutes(15);
+    config.retry.max_attempts = 1;
+    config.logger = c.logger;
+    Mantra faulty(scenario.engine(), config,
+                  [](const std::string& name) -> std::unique_ptr<Transport> {
+                    return std::make_unique<FaultInjectingTransport>(
+                        per_target_seed(0x1ed9e7, name),
+                        FaultProfile::command_failure_rate(0.2));
+                  });
+    faulty.add_target(scenario.network().router(scenario.fixw_node()));
+    faulty.add_target(scenario.network().router(scenario.ucsb_node()));
+    faulty.start();
+    scenario.engine().run_until(sim::TimePoint::start() + sim::Duration::hours(12));
+
+    for (const auto& [name, pin] : {std::pair<const char*, LedgerPin>{"fixw", c.fixw},
+                                    std::pair<const char*, LedgerPin>{"ucsb-gw", c.ucsb}}) {
+      const Mantra::TargetView view = faulty.target_view(name);
+      std::size_t stale_cycles = 0;
+      for (const CycleResult& result : view.results()) stale_cycles += result.stale;
+      EXPECT_LT(view.results().size(), 48u) << name << ": no dark cycle";
+      EXPECT_GT(stale_cycles, 0u) << name << ": no stale cycle";
+
+      const DataLogger& ledger = view.logger();
+      EXPECT_EQ(ledger.cycle_count(), pin.cycles) << c.label << " " << name;
+      EXPECT_EQ(ledger.stored_bytes(), pin.stored_bytes) << c.label << " " << name;
+      EXPECT_EQ(ledger.naive_bytes(), pin.naive_bytes) << c.label << " " << name;
+    }
+  }
+}
+
 TEST_F(MantraPipeline, SeriesExtraction) {
   run_hours(2);
   const TimeSeries sessions = monitor_->series(
