@@ -56,7 +56,6 @@ MacroRun run_macro(MacroConfig config) {
 
   core::MantraConfig monitor_config;
   monitor_config.cycle = sim::Duration::minutes(config.monitor_cycle_minutes);
-  monitor_config.logger.full_snapshot_every = 192;
   run.monitor = std::make_unique<core::Mantra>(run.scenario->engine(), monitor_config);
   run.monitor->add_target(run.scenario->network().router(run.scenario->fixw_node()));
   run.monitor->add_target(run.scenario->network().router(run.scenario->ucsb_node()));

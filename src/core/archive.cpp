@@ -208,7 +208,7 @@ void read_section(Cursor& in, bool keyframe, Table<Row>& table, sim::Duration dt
   } else {
     // Derived fields (uptimes, averages, counters) roll forward by the
     // inter-cycle gap, then the delta overwrites the rows that actually
-    // changed with exact values — the same recurrence core/log replays.
+    // changed with exact values.
     table.advance_derived(dt);
     table.apply(decode_delta<Row>(in, decode_row, decode_key));
   }

@@ -1,8 +1,9 @@
-// Persistent snapshot archive (§III "Data Logger", taken to disk): the
-// durable counterpart of core/log's in-memory delta store. Mantra's value in
-// the paper came from six months of archived router state processed off-line
-// into the Figs 3-9 analyses; this module provides the capture-to-disk /
-// analyse-later split that makes those long-running deployments possible.
+// Persistent snapshot archive (§III "Data Logger", taken to disk): Mantra's
+// one key-frame/delta log of its tables (core/log only counts the bytes the
+// paper's text log would take). Mantra's value in the paper came from six
+// months of archived router state processed off-line into the Figs 3-9
+// analyses; this module provides the capture-to-disk / analyse-later split
+// that makes those long-running deployments possible.
 //
 // On-disk format: a framed log (core/framed) with magic "MARC", version 3,
 // one frame per monitoring cycle. Every record carries the cycle's
@@ -13,8 +14,8 @@
 // types against the previous cycle). Row keys are encoded as differences
 // against the previous row in table order, doubles as raw IEEE-754 bits, so
 // reconstruction is bit-exact for every stored field. Derived tables
-// (participants, sessions) are never stored — redundancy avoidance, as in
-// core/log — and are re-derived on read; the scalar answers are stored, so
+// (participants, sessions) are never stored — redundancy avoidance — and
+// are re-derived on read; the scalar answers are stored, so
 // replay, rollups and raw queries read them instead of deriving them again.
 //
 // Crash safety is the framed log's: a torn or corrupt tail loses at most
@@ -156,8 +157,8 @@ class ArchiveReader {
 
   /// Reconstructs the full snapshot of cycle `index`: decode the nearest
   /// key-frame at or before it, then replay deltas (rolling derived fields
-  /// forward by the inter-cycle gap, exactly as core/log reconstructs), and
-  /// re-derive the participant/session tables. A query landing exactly on a
+  /// forward by the inter-cycle gap), and re-derive the participant/session
+  /// tables. A query landing exactly on a
   /// key-frame decodes that single record — never the preceding delta run.
   [[nodiscard]] Snapshot snapshot(std::size_t index) const;
 

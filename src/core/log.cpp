@@ -69,7 +69,7 @@ void append_double(Sink& sink, double value) {
 }
 
 template <typename Sink>
-void encode_pair(Sink& sink, const PairRow& row) {
+void encode(Sink& sink, const PairRow& row) {
   sink.ip(row.source);
   sink.ch(' ');
   sink.ip(row.group);
@@ -85,7 +85,7 @@ void encode_pair(Sink& sink, const PairRow& row) {
 }
 
 template <typename Sink>
-void encode_route(Sink& sink, const RouteRow& row) {
+void encode(Sink& sink, const RouteRow& row) {
   sink.prefix(row.prefix);
   sink.ch(' ');
   sink.ip(row.next_hop);
@@ -102,7 +102,7 @@ void encode_route(Sink& sink, const RouteRow& row) {
 }
 
 template <typename Sink>
-void encode_sa(Sink& sink, const SaRow& row) {
+void encode(Sink& sink, const SaRow& row) {
   sink.ip(row.source);
   sink.ch(' ');
   sink.ip(row.group);
@@ -116,7 +116,7 @@ void encode_sa(Sink& sink, const SaRow& row) {
 }
 
 template <typename Sink>
-void encode_mbgp(Sink& sink, const MbgpRow& row) {
+void encode(Sink& sink, const MbgpRow& row) {
   sink.prefix(row.prefix);
   sink.ch(' ');
   sink.ip(row.next_hop);
@@ -127,7 +127,7 @@ void encode_mbgp(Sink& sink, const MbgpRow& row) {
 }
 
 template <typename Sink>
-void encode_participant(Sink& sink, const ParticipantRow& row) {
+void encode(Sink& sink, const ParticipantRow& row) {
   sink.ip(row.host);
   sink.ch(' ');
   append_int(sink, row.group_count);
@@ -141,7 +141,7 @@ void encode_participant(Sink& sink, const ParticipantRow& row) {
 }
 
 template <typename Sink>
-void encode_session(Sink& sink, const SessionRow& row) {
+void encode(Sink& sink, const SessionRow& row) {
   sink.ip(row.group);
   sink.ch(' ');
   append_int(sink, row.density);
@@ -157,20 +157,19 @@ void encode_session(Sink& sink, const SessionRow& row) {
 }
 
 template <typename Sink>
-void append_pair_key(Sink& sink, const PairRow::Key& key) {
+void encode_key(Sink& sink, const PairRow::Key& key) {
   sink.ip(key.first);
   sink.ch(' ');
   sink.ip(key.second);
 }
 
 template <typename Sink>
-void append_prefix_key(Sink& sink, const net::Prefix& key) {
+void encode_key(Sink& sink, const net::Prefix& key) {
   sink.prefix(key);
 }
 
-template <typename Row, typename Sink, typename Encode, typename KeyText>
-void append_delta(const typename Table<Row>::Delta& delta, char tag,
-                  Encode encode, KeyText key_text, Sink& sink) {
+template <typename Row, typename Sink>
+void append_delta(const typename Table<Row>::Delta& delta, char tag, Sink& sink) {
   for (const Row& row : delta.upserts) {
     sink.ch('+');
     sink.ch(tag);
@@ -181,7 +180,7 @@ void append_delta(const typename Table<Row>::Delta& delta, char tag,
     sink.ch('-');
     sink.ch(tag);
     sink.ch(' ');
-    key_text(sink, key);
+    encode_key(sink, key);
     sink.ch('\n');
   }
 }
@@ -196,28 +195,28 @@ void serialize_snapshot_to(const Snapshot& snapshot, bool include_derived,
   sink.ch('\n');
   snapshot.pairs.visit([&](const PairRow& row) {
     sink.text("P ");
-    encode_pair(sink, row);
+    encode(sink, row);
   });
   snapshot.routes.visit([&](const RouteRow& row) {
     sink.text("R ");
-    encode_route(sink, row);
+    encode(sink, row);
   });
   snapshot.sa_cache.visit([&](const SaRow& row) {
     sink.text("A ");
-    encode_sa(sink, row);
+    encode(sink, row);
   });
   snapshot.mbgp_routes.visit([&](const MbgpRow& row) {
     sink.text("B ");
-    encode_mbgp(sink, row);
+    encode(sink, row);
   });
   if (include_derived) {
     snapshot.participants.visit([&](const ParticipantRow& row) {
       sink.text("H ");
-      encode_participant(sink, row);
+      encode(sink, row);
     });
     snapshot.sessions.visit([&](const SessionRow& row) {
       sink.text("G ");
-      encode_session(sink, row);
+      encode(sink, row);
     });
   }
 }
@@ -237,14 +236,10 @@ std::string serialize_snapshot(const Snapshot& snapshot, bool include_derived) {
 }
 
 void DataLogger::record(const Snapshot& snapshot) {
-  Record record;
-  record.captured = snapshot.captured;
-  record.router_name = snapshot.router_name;
-
   const bool keyframe =
-      !config_.store_deltas || !have_previous_ ||
+      !config_.store_deltas || cycle_count_ == 0 ||
       (config_.full_snapshot_every > 0 &&
-       records_.size() % static_cast<std::size_t>(config_.full_snapshot_every) == 0);
+       cycle_count_ % static_cast<std::size_t>(config_.full_snapshot_every) == 0);
 
   // One counting pass covers both ledgers: the naive ledger always counts a
   // full snapshot, and on key-frames the stored ledger counts the same bytes.
@@ -253,92 +248,25 @@ void DataLogger::record(const Snapshot& snapshot) {
   naive_bytes_ += full.size;
 
   if (keyframe) {
-    record.keyframe = true;
-    record.pairs = snapshot.pairs;
-    record.routes = snapshot.routes;
-    record.sa_cache = snapshot.sa_cache;
-    record.mbgp_routes = snapshot.mbgp_routes;
     stored_bytes_ += full.size;
   } else {
-    record.keyframe = false;
-    record.pair_delta = PairTable::diff(previous_.pairs, snapshot.pairs);
-    record.route_delta = RouteTable::diff(previous_.routes, snapshot.routes);
-    record.sa_delta = SaTable::diff(previous_.sa_cache, snapshot.sa_cache);
-    record.mbgp_delta = MbgpTable::diff(previous_.mbgp_routes, snapshot.mbgp_routes);
-
     CountingSink deltas;
-    append_delta<PairRow>(record.pair_delta, 'P',
-                          [](CountingSink& s, const PairRow& r) { encode_pair(s, r); },
-                          [](CountingSink& s, const PairRow::Key& k) {
-                            append_pair_key(s, k);
-                          },
-                          deltas);
-    append_delta<RouteRow>(record.route_delta, 'R',
-                           [](CountingSink& s, const RouteRow& r) {
-                             encode_route(s, r);
-                           },
-                           [](CountingSink& s, const net::Prefix& k) {
-                             append_prefix_key(s, k);
-                           },
+    append_delta<PairRow>(PairTable::diff(previous_.pairs, snapshot.pairs), 'P', deltas);
+    append_delta<RouteRow>(RouteTable::diff(previous_.routes, snapshot.routes), 'R',
                            deltas);
-    append_delta<SaRow>(record.sa_delta, 'A',
-                        [](CountingSink& s, const SaRow& r) { encode_sa(s, r); },
-                        [](CountingSink& s, const PairRow::Key& k) {
-                          append_pair_key(s, k);
-                        },
-                        deltas);
-    append_delta<MbgpRow>(record.mbgp_delta, 'B',
-                          [](CountingSink& s, const MbgpRow& r) { encode_mbgp(s, r); },
-                          [](CountingSink& s, const net::Prefix& k) {
-                            append_prefix_key(s, k);
-                          },
-                          deltas);
+    append_delta<SaRow>(SaTable::diff(previous_.sa_cache, snapshot.sa_cache), 'A', deltas);
+    append_delta<MbgpRow>(MbgpTable::diff(previous_.mbgp_routes, snapshot.mbgp_routes),
+                          'B', deltas);
     stored_bytes_ += deltas.size + 32;  // +32: record header line
   }
 
-  records_.push_back(std::move(record));
+  ++cycle_count_;
   // Copy-assignment (not fresh construction) so the rolling tables reuse
   // their element storage cycle over cycle.
   previous_.pairs = snapshot.pairs;
   previous_.routes = snapshot.routes;
   previous_.sa_cache = snapshot.sa_cache;
   previous_.mbgp_routes = snapshot.mbgp_routes;
-  have_previous_ = true;
-}
-
-Snapshot DataLogger::reconstruct(std::size_t index) const {
-  // Find the key-frame at or before `index`.
-  std::size_t keyframe = index;
-  while (keyframe > 0 && !records_[keyframe].keyframe) --keyframe;
-
-  Snapshot snapshot;
-  const Record& base = records_.at(keyframe);
-  snapshot.pairs = base.pairs;
-  snapshot.routes = base.routes;
-  snapshot.sa_cache = base.sa_cache;
-  snapshot.mbgp_routes = base.mbgp_routes;
-
-  for (std::size_t i = keyframe + 1; i <= index; ++i) {
-    const Record& record = records_[i];
-    // Derived fields (uptimes, averages, counters) roll forward by the
-    // inter-cycle gap, then the delta overwrites the rows that actually
-    // changed with exact values.
-    const sim::Duration dt = record.captured - records_[i - 1].captured;
-    snapshot.pairs.advance_derived(dt);
-    snapshot.routes.advance_derived(dt);
-    snapshot.sa_cache.advance_derived(dt);
-    snapshot.pairs.apply(record.pair_delta);
-    snapshot.routes.apply(record.route_delta);
-    snapshot.sa_cache.apply(record.sa_delta);
-    snapshot.mbgp_routes.apply(record.mbgp_delta);
-  }
-
-  const Record& target = records_.at(index);
-  snapshot.router_name = target.router_name;
-  snapshot.captured = target.captured;
-  snapshot.participants = derive_participants(snapshot.pairs);
-  snapshot.sessions = derive_sessions(snapshot.pairs);
-  return snapshot;
 }
 
 }  // namespace mantra::core

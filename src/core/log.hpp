@@ -1,17 +1,18 @@
-// Data Logger (§III): stores each cycle's tables for off-line and long-term
-// analysis, with the paper's two space optimisations:
+// Data Logger (§III) byte ledger: what the paper's text log would occupy
+// under its two space optimisations, without storing it:
 //   * Storing only deltas — key-frame snapshots every N cycles, per-table
 //     diffs in between (most effective on the slowly changing route table).
 //   * Avoiding redundancy — the participant and session tables are never
 //     stored; they are re-derived from the pair table on reconstruction.
 //
 // Byte accounting runs through the same text codec an on-disk log would
-// use, so the ablation benchmark's compression ratios are real.
+// use, so the ablation benchmark's compression ratios are real. The stored
+// key-frame/delta log itself is core/archive's `.marc` (ArchiveWriter), and
+// ArchiveReader::snapshot is the one reconstruction path.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/tables.hpp"
 
@@ -39,20 +40,13 @@ class DataLogger {
  public:
   explicit DataLogger(LoggerConfig config = {}) : config_(config) {}
 
-  /// Records one cycle. The snapshot's derived tables may be empty; they
-  /// are not stored (unless the redundancy ablation asks for them).
+  /// Counts one cycle into both ledgers. The snapshot's derived tables may
+  /// be empty; they are not counted (unless the redundancy ablation asks
+  /// for them). Nothing per cycle is kept beyond the tables the next delta
+  /// is diffed against.
   void record(const Snapshot& snapshot);
 
-  [[nodiscard]] std::size_t cycle_count() const { return records_.size(); }
-
-  /// Reconstructs the full snapshot of cycle `index` by replaying deltas
-  /// from the nearest key-frame, then re-deriving the redundant tables.
-  [[nodiscard]] Snapshot reconstruct(std::size_t index) const;
-
-  /// Timestamp of a recorded cycle.
-  [[nodiscard]] sim::TimePoint time_at(std::size_t index) const {
-    return records_.at(index).captured;
-  }
+  [[nodiscard]] std::size_t cycle_count() const { return cycle_count_; }
 
   /// Bytes this log occupies in the text codec.
   [[nodiscard]] std::uint64_t stored_bytes() const { return stored_bytes_; }
@@ -62,27 +56,10 @@ class DataLogger {
   [[nodiscard]] const LoggerConfig& config() const { return config_; }
 
  private:
-  struct Record {
-    sim::TimePoint captured;
-    std::string router_name;
-    bool keyframe = false;
-    // Key-frame payload:
-    PairTable pairs;
-    RouteTable routes;
-    SaTable sa_cache;
-    MbgpTable mbgp_routes;
-    // Delta payload:
-    PairTable::Delta pair_delta;
-    RouteTable::Delta route_delta;
-    SaTable::Delta sa_delta;
-    MbgpTable::Delta mbgp_delta;
-  };
-
   LoggerConfig config_;
-  std::vector<Record> records_;
-  // Rolling state for diffing against the previous cycle.
+  std::size_t cycle_count_ = 0;
+  // The previous cycle's stored tables, for diffing against.
   Snapshot previous_;
-  bool have_previous_ = false;
   std::uint64_t stored_bytes_ = 0;
   std::uint64_t naive_bytes_ = 0;
 };

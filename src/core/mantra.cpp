@@ -338,12 +338,6 @@ void Mantra::run_target_cycle(TargetState& target, sim::TimePoint now,
     std::swap(snapshot.sessions, target.carry.sessions);
   }
 
-  {
-    TelemetryStage::Span record_scope =
-        target.stage.span("record", "process", now);
-    target.logger.record(snapshot);
-  }
-
   // This recorded cycle is the transition that ends a dark spell (if one
   // was running): capture its length before the reset, and emit the
   // recovery event only after the new health state is known — a recovering
@@ -423,8 +417,6 @@ const std::string& Mantra::TargetView::name() const { return state_->name; }
 const std::vector<CycleResult>& Mantra::TargetView::results() const {
   return state_->results;
 }
-
-const DataLogger& Mantra::TargetView::logger() const { return state_->logger; }
 
 const RouteMonitor& Mantra::TargetView::route_monitor() const {
   return state_->carry.route_monitor;

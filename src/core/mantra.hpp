@@ -1,8 +1,9 @@
 // The Mantra monitoring cycle (§III Fig 1): every cycle, for every target
 // router — collect (telnet scrape) -> pre-process -> parse into the local
-// table format -> log (deltas) -> process into statistics -> expose results
-// as time series and summary tables. Also implements the paper's §V future
-// work: concurrent multi-router collection with aggregated results.
+// table format -> process into statistics -> archive (key-frames + deltas,
+// when archive_dir is set) -> expose results as time series and summary
+// tables. Also implements the paper's §V future work: concurrent
+// multi-router collection with aggregated results.
 //
 // Collection is allowed to fail (see core/transport.hpp). A failed command
 // keeps the previous snapshot's table for that protocol and marks the cycle
@@ -10,8 +11,8 @@
 // (Healthy/Degraded/Unreachable) is tracked per target.
 //
 // The cycle is sharded per target: each target owns its whole pipeline
-// (collector + transport + jitter RNG, tables, logger, monitors, archive
-// writer), so with `worker_threads > 0` run_cycle_now() fans the shards out
+// (collector + transport + jitter RNG, tables, monitors, archive writer),
+// so with `worker_threads > 0` run_cycle_now() fans the shards out
 // across a core/parallel pool and joins — results are byte-identical to the
 // sequential path.
 #pragma once
@@ -26,7 +27,7 @@
 #include "core/alert.hpp"
 #include "core/archive.hpp"
 #include "core/collect.hpp"
-#include "core/log.hpp"
+#include "core/log.hpp"  // LoggerConfig, until MantraConfig::logger goes
 #include "core/output.hpp"
 #include "core/parallel.hpp"
 #include "core/parse.hpp"
@@ -71,6 +72,9 @@ struct AlertConfig {
 struct MantraConfig {
   sim::Duration cycle = sim::Duration::minutes(15);
   double sender_threshold_kbps = kSenderThresholdKbps;
+  /// Ignored: Mantra keeps no DataLogger (the `.marc` archive is its one
+  /// key-frame/delta log). Only perfbench's traced mirror still reads it; it
+  /// goes with that mirror in ROADMAP item 2, step 2.
   LoggerConfig logger;
   /// Route-count spike detection (Fig 9 debugging aid).
   std::size_t spike_window = 48;
@@ -167,13 +171,12 @@ class Mantra {
 
  public:
   /// Read-only facade over everything Mantra knows about one target:
-  /// results, logger, route monitor, latest snapshot, and health. The view
+  /// results, route monitor, latest snapshot, and health. The view
   /// borrows from the Mantra instance and is invalidated by its destruction.
   class TargetView {
    public:
     [[nodiscard]] const std::string& name() const;
     [[nodiscard]] const std::vector<CycleResult>& results() const;
-    [[nodiscard]] const DataLogger& logger() const;
     [[nodiscard]] const RouteMonitor& route_monitor() const;
     [[nodiscard]] const Snapshot& latest_snapshot() const;
     [[nodiscard]] TargetHealth health() const;
@@ -217,8 +220,8 @@ class Mantra {
   void run_cycle_now();
 
   /// The single per-target accessor; throws std::out_of_range for unknown
-  /// names. (The old per-router forwarders — results(name), logger(name),
-  /// route_monitor(name), latest_snapshot(name) — were removed in favour of
+  /// names. (The old per-router forwarders — results(name), route_monitor(name),
+  /// latest_snapshot(name) — were removed in favour of
   /// target_view(name).<accessor>(); see DESIGN.md for the break note.)
   [[nodiscard]] TargetView target_view(std::string_view router_name) const;
 
@@ -276,7 +279,7 @@ class Mantra {
 
  private:
   /// One collection shard. Every member — collector (with its own
-  /// transport and jitter-RNG stream), tables, logger, derive carry, archive
+  /// transport and jitter-RNG stream), tables, derive carry, archive
   /// writer — is exclusively owned by this target, so shards share no
   /// mutable state and run_target_cycle is safe to run concurrently for
   /// distinct targets.
@@ -284,7 +287,6 @@ class Mantra {
     const router::MulticastRouter* router = nullptr;
     std::string name;
     std::unique_ptr<Collector> collector;
-    DataLogger logger;
     CycleCarry carry;  ///< route monitor, spike detector, derive storage
     std::unique_ptr<ArchiveWriter> archive;  ///< null when archiving is off
     std::vector<CycleResult> results;
@@ -309,8 +311,7 @@ class Mantra {
     std::uint32_t tid = 0;
 
     explicit TargetState(const MantraConfig& config)
-        : logger(config.logger),
-          carry(config.sender_threshold_kbps, config.spike_window, config.spike_k) {}
+        : carry(config.sender_threshold_kbps, config.spike_window, config.spike_k) {}
   };
 
   void run_target_cycle(TargetState& target, sim::TimePoint now,

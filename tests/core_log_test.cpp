@@ -31,74 +31,6 @@ Snapshot snapshot_at(sim::TimePoint t) {
   return snapshot;
 }
 
-TEST(DataLogger, FirstRecordIsKeyframeAndReconstructs) {
-  DataLogger logger;
-  Snapshot snapshot = snapshot_at(sim::TimePoint::start());
-  snapshot.pairs.upsert(pair(0x0A010102, 5, 10.0));
-  snapshot.routes.upsert(route(1, 3));
-  logger.record(snapshot);
-
-  const Snapshot rebuilt = logger.reconstruct(0);
-  EXPECT_EQ(rebuilt.pairs, snapshot.pairs);
-  EXPECT_EQ(rebuilt.routes, snapshot.routes);
-  EXPECT_EQ(rebuilt.router_name, "fixw");
-  // Derived tables are regenerated.
-  EXPECT_EQ(rebuilt.participants.size(), 1u);
-  EXPECT_EQ(rebuilt.sessions.size(), 1u);
-}
-
-TEST(DataLogger, DeltaChainReconstructsStableFieldsExactly) {
-  DataLogger logger;
-  const auto cycle = sim::Duration::minutes(15);
-
-  Snapshot s0 = snapshot_at(sim::TimePoint::start());
-  s0.pairs.upsert(pair(0x0A010102, 5, 10.0));
-  s0.routes.upsert(route(1, 3));
-  s0.routes.upsert(route(2, 4));
-  logger.record(s0);
-
-  Snapshot s1 = snapshot_at(sim::TimePoint::start() + cycle);
-  s1.pairs = s0.pairs;
-  s1.pairs.upsert(pair(0x0A010103, 5, 2.0));  // new pair
-  s1.routes = s0.routes;
-  s1.routes.erase(route(2, 4).key());         // route withdrawn
-  logger.record(s1);
-
-  Snapshot s2 = snapshot_at(sim::TimePoint::start() + cycle * std::int64_t{2});
-  s2.pairs = s1.pairs;
-  PairRow changed = pair(0x0A010102, 5, 99.0);  // rate change
-  s2.pairs.upsert(changed);
-  s2.routes = s1.routes;
-  logger.record(s2);
-
-  const Snapshot rebuilt = logger.reconstruct(2);
-  ASSERT_EQ(rebuilt.pairs.size(), 2u);
-  EXPECT_DOUBLE_EQ(rebuilt.pairs.find(changed.key())->current_kbps, 99.0);
-  EXPECT_EQ(rebuilt.routes.size(), 1u);
-  EXPECT_EQ(rebuilt.captured, s2.captured);
-}
-
-TEST(DataLogger, ReconstructAdvancesDerivedFieldsByRecurrence) {
-  DataLogger logger;
-  const auto cycle = sim::Duration::minutes(15);
-
-  Snapshot s0 = snapshot_at(sim::TimePoint::start());
-  PairRow row = pair(0x0A010102, 5, 8.0);
-  row.uptime = sim::Duration::minutes(30);
-  s0.pairs.upsert(row);
-  logger.record(s0);
-
-  Snapshot s1 = snapshot_at(sim::TimePoint::start() + cycle);
-  row.uptime = sim::Duration::minutes(45);  // what the router would report
-  s1.pairs = PairTable{};
-  s1.pairs.upsert(row);
-  logger.record(s1);
-
-  const Snapshot rebuilt = logger.reconstruct(1);
-  // Unchanged row: uptime rolled forward by the cycle gap.
-  EXPECT_EQ(rebuilt.pairs.rows()[0].uptime, sim::Duration::minutes(45));
-}
-
 TEST(DataLogger, DeltaStorageBeatsNaiveOnSlowlyChangingTables) {
   DataLogger logger;
   Snapshot snapshot = snapshot_at(sim::TimePoint::start());
@@ -189,92 +121,6 @@ TEST(DataLogger, RedundancyAblationStoresDerivedTables) {
   lean_logger.record(snapshot);
   fat_logger.record(snapshot);
   EXPECT_LT(lean_logger.stored_bytes(), fat_logger.stored_bytes());
-}
-
-TEST(DataLogger, KeyframeIntervalBoundsReplayChain) {
-  LoggerConfig config;
-  config.full_snapshot_every = 4;
-  DataLogger logger(config);
-  Snapshot snapshot = snapshot_at(sim::TimePoint::start());
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    snapshot.captured = sim::TimePoint::start() + sim::Duration::minutes(15 * cycle);
-    snapshot.pairs.upsert(pair(0x0A010102, static_cast<std::uint32_t>(cycle), 1.0));
-    logger.record(snapshot);
-  }
-  // Every index reconstructs correctly regardless of keyframe position.
-  for (std::size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(logger.reconstruct(i).pairs.size(), i + 1) << "cycle " << i;
-  }
-}
-
-TEST(DataLogger, ReconstructExactOnAndAdjacentToKeyframeBoundaries) {
-  // The off-by-one minefield: the cycle a key-frame lands on, the one just
-  // before (longest delta chain), and the one just after (chain length 1)
-  // must all reconstruct the exact stable state.
-  LoggerConfig config;
-  config.full_snapshot_every = 4;  // key-frames at cycles 0, 4, 8
-  DataLogger logger(config);
-  std::vector<PairTable> truth;
-  PairTable current;
-  for (int cycle = 0; cycle < 10; ++cycle) {
-    current.upsert(pair(0x0A010100u + static_cast<std::uint32_t>(cycle), 1,
-                        static_cast<double>(10 * cycle + 1)));
-    if (cycle >= 2) {
-      current.erase({net::Ipv4Address(0x0A010100u + static_cast<std::uint32_t>(cycle - 2)),
-                     net::Ipv4Address(0xE0020001u)});
-    }
-    Snapshot snapshot = snapshot_at(sim::TimePoint::start() +
-                                    sim::Duration::minutes(15 * cycle));
-    snapshot.pairs = current;
-    logger.record(snapshot);
-    truth.push_back(current);
-  }
-  for (const std::size_t boundary : {std::size_t{4}, std::size_t{8}}) {
-    for (const std::size_t i : {boundary - 1, boundary, boundary + 1}) {
-      const Snapshot rebuilt = logger.reconstruct(i);
-      ASSERT_EQ(rebuilt.pairs.size(), truth[i].size()) << "cycle " << i;
-      truth[i].visit([&](const PairRow& row) {
-        const PairRow* got = rebuilt.pairs.find(row.key());
-        ASSERT_NE(got, nullptr) << "cycle " << i;
-        EXPECT_DOUBLE_EQ(got->current_kbps, row.current_kbps) << "cycle " << i;
-      });
-    }
-  }
-}
-
-TEST(DataLogger, RandomisedReconstructionMatchesDirectState) {
-  // Property test: arbitrary mutate/record sequences reconstruct the exact
-  // stable state at every cycle.
-  std::mt19937 rng(77);
-  LoggerConfig config;
-  config.full_snapshot_every = 8;
-  DataLogger logger(config);
-  std::vector<PairTable> truth;
-  PairTable current;
-  for (int cycle = 0; cycle < 40; ++cycle) {
-    for (int mutation = 0; mutation < 5; ++mutation) {
-      const std::uint32_t host = 0x0A010100u + rng() % 30;
-      if (rng() % 3 == 0) {
-        current.erase({net::Ipv4Address(host), net::Ipv4Address(0xE0020001u)});
-      } else {
-        current.upsert(pair(host, 1, static_cast<double>(rng() % 100)));
-      }
-    }
-    Snapshot snapshot = snapshot_at(sim::TimePoint::start() +
-                                    sim::Duration::minutes(15 * cycle));
-    snapshot.pairs = current;
-    logger.record(snapshot);
-    truth.push_back(current);
-  }
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    const Snapshot rebuilt = logger.reconstruct(i);
-    ASSERT_EQ(rebuilt.pairs.size(), truth[i].size()) << "cycle " << i;
-    truth[i].visit([&](const PairRow& row) {
-      const PairRow* got = rebuilt.pairs.find(row.key());
-      ASSERT_NE(got, nullptr);
-      EXPECT_DOUBLE_EQ(got->current_kbps, row.current_kbps);
-    });
-  }
 }
 
 TEST(SerializeSnapshot, ContainsAllTables) {

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cstdint>
+#include <filesystem>
+#include <iterator>
 #include <set>
 #include <vector>
 
@@ -150,21 +152,44 @@ TEST_F(MantraPipeline, LatestSnapshotHoldsItsOwnCyclesDerivedTables) {
 }
 
 TEST_F(MantraPipeline, LoggerRecordsEveryCycleAndReconstructs) {
+  // Mantra's key-frame/delta log is the `.marc` archive: every recorded
+  // cycle lands there, and the last one reconstructs to the latest
+  // snapshot's rows with equal stable fields (an empty Table::diff). Time-
+  // derived fields are rebuilt by recurrence, so they are not compared.
+  const std::string dir = ::testing::TempDir() + "mantra_pipeline_marc";
+  std::filesystem::remove_all(dir);
+  MantraConfig config;
+  config.cycle = sim::Duration::minutes(15);
+  config.archive_dir = dir;
+  auto archived = std::make_unique<Mantra>(scenario_.engine(), config);
+  archived->add_target(scenario_.network().router(scenario_.fixw_node()));
+  archived->start();
   run_hours(2);
-  const DataLogger& logger = monitor_->target_view("fixw").logger();
-  EXPECT_EQ(logger.cycle_count(), 8u);
-  const Snapshot rebuilt = logger.reconstruct(7);
-  const Snapshot& latest = monitor_->target_view("fixw").latest_snapshot();
-  EXPECT_EQ(rebuilt.pairs.size(), latest.pairs.size());
-  EXPECT_EQ(rebuilt.routes.size(), latest.routes.size());
+  const Snapshot latest = archived->target_view("fixw").latest_snapshot();
+  ASSERT_NE(archived->target_view("fixw").archive(), nullptr);
+  EXPECT_EQ(archived->target_view("fixw").archive()->cycles_written(), 8u);
+  archived.reset();  // closes the archive
+
+  const ArchiveReader reader(dir + "/fixw.marc");
+  ASSERT_EQ(reader.size(), 8u);
+  const Snapshot rebuilt = reader.snapshot(7);
+  EXPECT_EQ(rebuilt.captured, latest.captured);
+  EXPECT_GT(latest.pairs.size(), 0u);
+  EXPECT_GT(latest.routes.size(), 0u);
+  EXPECT_TRUE(PairTable::diff(rebuilt.pairs, latest.pairs).empty());
+  EXPECT_TRUE(RouteTable::diff(rebuilt.routes, latest.routes).empty());
+  EXPECT_TRUE(SaTable::diff(rebuilt.sa_cache, latest.sa_cache).empty());
+  EXPECT_TRUE(MbgpTable::diff(rebuilt.mbgp_routes, latest.mbgp_routes).empty());
+  std::filesystem::remove_all(dir);
 }
 
 // The §III byte ledger, pinned on a seeded faulty two-target run: 20 %
 // command failures with retries off over 12 sim hours, so each target has
 // dark cycles (skipped, never logged) and stale tables (logged as carried
-// forward). The constants were read from the in-cycle per-target loggers
-// under the default LoggerConfig and each of its three ablations. Never
-// regenerate them: a ledger fed from elsewhere must reproduce them.
+// forward). The constants were read from the per-target loggers Mantra ran
+// inside its cycle, under the default LoggerConfig and each of its three
+// ablations; ledgers fed from the cycle hook reproduce them. Never
+// regenerate them.
 struct LedgerPin {
   std::size_t cycles;
   std::uint64_t stored_bytes;
@@ -193,36 +218,53 @@ TEST_F(MantraPipeline, LedgerBytesArePinnedOnAFaultyTwoTargetRun) {
        {46, 181871, 393273}},
   };
 
-  for (const Case& c : cases) {
-    workload::FixwScenario scenario(make_config());
-    scenario.start();
-    MantraConfig config;
-    config.cycle = sim::Duration::minutes(15);
-    config.retry.max_attempts = 1;
-    config.logger = c.logger;
-    Mantra faulty(scenario.engine(), config,
-                  [](const std::string& name) -> std::unique_ptr<Transport> {
-                    return std::make_unique<FaultInjectingTransport>(
-                        per_target_seed(0x1ed9e7, name),
-                        FaultProfile::command_failure_rate(0.2));
-                  });
-    faulty.add_target(scenario.network().router(scenario.fixw_node()));
-    faulty.add_target(scenario.network().router(scenario.ucsb_node()));
-    faulty.start();
-    scenario.engine().run_until(sim::TimePoint::start() + sim::Duration::hours(12));
+  workload::FixwScenario scenario(make_config());
+  scenario.start();
+  MantraConfig config;
+  config.cycle = sim::Duration::minutes(15);
+  config.retry.max_attempts = 1;
+  Mantra faulty(scenario.engine(), config,
+                [](const std::string& name) -> std::unique_ptr<Transport> {
+                  return std::make_unique<FaultInjectingTransport>(
+                      per_target_seed(0x1ed9e7, name),
+                      FaultProfile::command_failure_rate(0.2));
+                });
+  faulty.add_target(scenario.network().router(scenario.fixw_node()));
+  faulty.add_target(scenario.network().router(scenario.ucsb_node()));
+  // One ledger per (target, case), fed each cycle the target recorded.
+  const char* const names[] = {"fixw", "ucsb-gw"};
+  std::vector<DataLogger> ledgers;
+  for (std::size_t t = 0; t < std::size(names); ++t) {
+    for (const Case& c : cases) ledgers.emplace_back(c.logger);
+  }
+  faulty.set_cycle_hook([&](std::size_t) {
+    for (std::size_t t = 0; t < std::size(names); ++t) {
+      const Mantra::TargetView view = faulty.target_view(names[t]);
+      for (std::size_t k = 0; k < std::size(cases); ++k) {
+        DataLogger& ledger = ledgers[t * std::size(cases) + k];
+        if (view.results().size() > ledger.cycle_count()) {
+          ledger.record(view.latest_snapshot());
+        }
+      }
+    }
+  });
+  faulty.start();
+  scenario.engine().run_until(sim::TimePoint::start() + sim::Duration::hours(12));
 
-    for (const auto& [name, pin] : {std::pair<const char*, LedgerPin>{"fixw", c.fixw},
-                                    std::pair<const char*, LedgerPin>{"ucsb-gw", c.ucsb}}) {
-      const Mantra::TargetView view = faulty.target_view(name);
-      std::size_t stale_cycles = 0;
-      for (const CycleResult& result : view.results()) stale_cycles += result.stale;
-      EXPECT_LT(view.results().size(), 48u) << name << ": no dark cycle";
-      EXPECT_GT(stale_cycles, 0u) << name << ": no stale cycle";
+  for (std::size_t t = 0; t < std::size(names); ++t) {
+    const Mantra::TargetView view = faulty.target_view(names[t]);
+    std::size_t stale_cycles = 0;
+    for (const CycleResult& result : view.results()) stale_cycles += result.stale;
+    EXPECT_LT(view.results().size(), 48u) << names[t] << ": no dark cycle";
+    EXPECT_GT(stale_cycles, 0u) << names[t] << ": no stale cycle";
 
-      const DataLogger& ledger = view.logger();
-      EXPECT_EQ(ledger.cycle_count(), pin.cycles) << c.label << " " << name;
-      EXPECT_EQ(ledger.stored_bytes(), pin.stored_bytes) << c.label << " " << name;
-      EXPECT_EQ(ledger.naive_bytes(), pin.naive_bytes) << c.label << " " << name;
+    for (std::size_t k = 0; k < std::size(cases); ++k) {
+      const LedgerPin& pin = t == 0 ? cases[k].fixw : cases[k].ucsb;
+      const DataLogger& ledger = ledgers[t * std::size(cases) + k];
+      const std::string label = std::string(cases[k].label) + " " + names[t];
+      EXPECT_EQ(ledger.cycle_count(), pin.cycles) << label;
+      EXPECT_EQ(ledger.stored_bytes(), pin.stored_bytes) << label;
+      EXPECT_EQ(ledger.naive_bytes(), pin.naive_bytes) << label;
     }
   }
 }
@@ -289,7 +331,6 @@ TEST_F(MantraPipeline, TargetViewConsolidatesAccessors) {
   const Mantra::TargetView view = monitor_->target_view("fixw");
   EXPECT_EQ(view.name(), "fixw");
   EXPECT_EQ(&view.results(), &monitor_->target_view("fixw").results());
-  EXPECT_EQ(&view.logger(), &monitor_->target_view("fixw").logger());
   EXPECT_EQ(&view.route_monitor(), &monitor_->target_view("fixw").route_monitor());
   EXPECT_EQ(&view.latest_snapshot(), &monitor_->target_view("fixw").latest_snapshot());
   EXPECT_EQ(view.health(), TargetHealth::Healthy);

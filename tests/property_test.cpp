@@ -1,13 +1,15 @@
 // Property-style parameterized sweeps (TEST_P) over the system's core
-// invariants: codec round-trips, protocol convergence under loss, logger
+// invariants: codec round-trips, protocol convergence under loss, archive
 // reconstruction across configurations, engine determinism, delivery
 // completeness across planes and group sizes, and parser robustness against
 // corrupted captures.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <random>
+#include <string>
 
-#include "core/log.hpp"
+#include "core/archive.hpp"
 #include "core/mantra.hpp"
 #include "core/parse.hpp"
 #include "router/cli.hpp"
@@ -122,7 +124,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvergenceCase{6, 0.2}, ConvergenceCase{10, 0.3}));
 
 // ---------------------------------------------------------------------------
-// Logger reconstruction across configurations.
+// Logger reconstruction across configurations: randomised pair churn
+// through the `.marc` archive (Mantra's key-frame/delta log) and back.
 // ---------------------------------------------------------------------------
 
 struct LoggerCase {
@@ -140,10 +143,14 @@ class LoggerReconstruction : public ::testing::TestWithParam<LoggerCase> {};
 
 TEST_P(LoggerReconstruction, StableFieldsExactEverywhere) {
   const LoggerCase param = GetParam();
-  core::LoggerConfig config;
-  config.store_deltas = param.store_deltas;
-  config.full_snapshot_every = param.keyframe_every;
-  core::DataLogger logger(config);
+  core::ArchiveOptions options;
+  options.store_deltas = param.store_deltas;
+  options.keyframe_interval = param.keyframe_every;
+  options.fsync_on_keyframe = false;
+  const std::string path = ::testing::TempDir() + "reconstruction_" +
+                           (param.store_deltas ? "deltas_" : "full_") +
+                           std::to_string(param.keyframe_every) + ".marc";
+  auto writer = std::make_unique<core::ArchiveWriter>(path, options);
 
   std::mt19937 rng(17);
   core::PairTable current;
@@ -165,12 +172,15 @@ TEST_P(LoggerReconstruction, StableFieldsExactEverywhere) {
     snapshot.captured =
         sim::TimePoint::start() + sim::Duration::minutes(15 * cycle);
     snapshot.pairs = current;
-    logger.record(snapshot);
+    writer->append(snapshot);
     truth.push_back(current);
   }
+  writer.reset();  // closes the file
 
+  const core::ArchiveReader reader(path);
+  ASSERT_EQ(reader.size(), truth.size());
   for (std::size_t i = 0; i < truth.size(); ++i) {
-    const core::Snapshot rebuilt = logger.reconstruct(i);
+    const core::Snapshot rebuilt = reader.snapshot(i);
     ASSERT_EQ(rebuilt.pairs.size(), truth[i].size()) << "cycle " << i;
     truth[i].visit([&](const core::PairRow& row) {
       const core::PairRow* got = rebuilt.pairs.find(row.key());
@@ -178,6 +188,7 @@ TEST_P(LoggerReconstruction, StableFieldsExactEverywhere) {
       EXPECT_DOUBLE_EQ(got->current_kbps, row.current_kbps);
     });
   }
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Configs, LoggerReconstruction,
