@@ -5,7 +5,8 @@
 //
 // Emits BENCH_cycle_scale.json (one record per target count) at the repo
 // root (MANTRA_REPO_ROOT baked in at configure time) so the artifact path
-// does not depend on the working directory. Scale knobs:
+// does not depend on the working directory, with the host facts (cores,
+// build type, compiler) the numbers were measured on. Scale knobs:
 //   MANTRA_CYCLE_SCALE_MAX            largest target count (default 200;
 //                                     the sweep extends to 250 and 1000)
 //   MANTRA_CYCLE_SCALE_CYCLES         monitoring cycles per measurement (default 4)
@@ -18,12 +19,14 @@
 //   MANTRA_CYCLE_SCALE_ASSERT_SPEEDUP when set, fail unless the parallel
 //                                     path beats sequential at 50 targets
 //                                     (skipped on single-core hosts)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mantra.hpp"
@@ -149,7 +152,11 @@ int main() {
 
   const std::string json_path = output_path();
   std::ofstream json(json_path);
-  json << "{\n  \"bench\": \"cycle_scale\",\n  \"threads\": " << threads
+  json << "{\n  \"bench\": \"cycle_scale\",\n  \"host\": {\"nproc\": "
+       << std::max(1u, std::thread::hardware_concurrency())
+       << ", \"build_type\": \"" << MANTRA_BENCH_BUILD_TYPE
+       << "\", \"compiler\": \"" << MANTRA_BENCH_COMPILER
+       << "\"},\n  \"threads\": " << threads
        << ",\n  \"cycles_per_measurement\": " << cycles
        << ",\n  \"warmup_cycles\": " << warmup
        << ",\n  \"results\": [\n";

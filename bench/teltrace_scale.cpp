@@ -10,7 +10,8 @@
 //      exit gate deliberately looser so a noisy CI box does not flake.
 //
 // Emits BENCH_teltrace_scale.json at the repo root (MANTRA_REPO_ROOT baked
-// in at configure time). Knobs:
+// in at configure time), with the host facts (cores, build type, compiler)
+// the numbers were measured on. Knobs:
 //   MANTRA_TELTRACE_SCALE_DAYS      simulated span in days (default 30)
 //   MANTRA_TELTRACE_SCALE_TARGETS   synthetic targets (default 48; ~21
 //                                   instances each)
@@ -24,6 +25,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/mantra.hpp"
@@ -249,7 +251,9 @@ int main() {
   char line[768];
   std::snprintf(
       line, sizeof line,
-      "{\n  \"bench\": \"teltrace_scale\",\n  \"days\": %d,\n"
+      "{\n  \"bench\": \"teltrace_scale\",\n"
+      "  \"host\": {\"nproc\": %u, \"build_type\": \"%s\", \"compiler\": \"%s\"},\n"
+      "  \"days\": %d,\n"
       "  \"cycles\": %d,\n  \"metric_instances\": %zu,\n"
       "  \"storage\": {\"delta_bytes\": %llu, \"bytes_per_cycle\": %.1f, "
       "\"naive_bytes\": %llu, \"naive_bytes_per_cycle\": %.1f, "
@@ -257,7 +261,8 @@ int main() {
       "  \"sampling\": {\"sample_ms\": %.4f, \"cycle_budget_ms\": %.3f, "
       "\"pct_of_cycle\": %.3f, \"target_pct\": 3.0, \"gate_pct\": %d}\n"
       "}\n",
-      days, cycles, instance_count,
+      std::max(1u, std::thread::hardware_concurrency()), MANTRA_BENCH_BUILD_TYPE,
+      MANTRA_BENCH_COMPILER, days, cycles, instance_count,
       static_cast<unsigned long long>(delta_bytes),
       static_cast<double>(delta_bytes) / cycles,
       static_cast<unsigned long long>(naive_bytes),

@@ -220,8 +220,8 @@ class Mantra {
   void run_cycle_now();
 
   /// The single per-target accessor; throws std::out_of_range for unknown
-  /// names. (The old per-router forwarders — results(name), route_monitor(name),
-  /// latest_snapshot(name) — were removed in favour of
+  /// names. (The old per-router forwarders — results(name), logger(name),
+  /// route_monitor(name), latest_snapshot(name) — were removed in favour of
   /// target_view(name).<accessor>(); see DESIGN.md for the break note.)
   [[nodiscard]] TargetView target_view(std::string_view router_name) const;
 
