@@ -2,9 +2,12 @@
 // capture-text preprocessing, table parsing, delta computation, logging,
 // statistics, DVMRP route monitoring, and the LPM trie — the per-cycle costs that bound how many
 // routers one Mantra instance can poll at a given cycle length, and the
-// "text scraping vs structured access" cost DESIGN.md calls out.
+// "text scraping vs structured access" cost DESIGN.md calls out. The
+// render benchmarks time the other side of the capture: the simulated
+// router writing `show ip dvmrp route` and `show ip mbgp` from its tables.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
 
 #include "core/collect.hpp"
@@ -12,7 +15,9 @@
 #include "core/parse.hpp"
 #include "core/process.hpp"
 #include "net/prefix_trie.hpp"
+#include "router/cli.hpp"
 #include "sim/random.hpp"
+#include "workload/scenario.hpp"
 
 using namespace mantra;
 
@@ -193,6 +198,79 @@ void BM_TrieLongestMatch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrieLongestMatch)->Arg(600)->Arg(6000);
+
+/// A 200-target FIXW scenario (199 domains of 12 DVMRP stubs each, the
+/// live_clean shape) after a 2-hour warm-up: FIXW holds ~1,600 DVMRP
+/// routes and ~200 MBGP routes. Built once for the render benchmarks.
+workload::FixwScenario& render_scenario() {
+  static const std::unique_ptr<workload::FixwScenario> scenario = [] {
+    workload::ScenarioConfig config;
+    config.seed = 701;
+    config.domains = 199;
+    config.hosts_per_domain = 2;
+    config.dvmrp_prefixes_per_domain = 12;
+    config.report_loss = 0.02;
+    config.generator.session_arrivals_per_hour = 20.0;
+    config.generator.bursts_per_day = 0.0;
+    auto built = std::make_unique<workload::FixwScenario>(config);
+    built->start();
+    built->engine().run_until(built->engine().now() + sim::Duration::hours(2));
+    return built;
+  }();
+  return *scenario;
+}
+
+const router::MulticastRouter& render_fixw() {
+  workload::FixwScenario& scenario = render_scenario();
+  return *scenario.network().router(scenario.fixw_node());
+}
+
+void BM_RenderDvmrpRoute(benchmark::State& state) {
+  const router::MulticastRouter& fixw = render_fixw();
+  const sim::TimePoint now = render_scenario().engine().now();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    router::cli::show_ip_dvmrp_route_into(fixw, now, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const auto routes = static_cast<std::int64_t>(fixw.dvmrp()->routes().size());
+  state.counters["routes"] = static_cast<double>(routes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * routes);
+}
+BENCHMARK(BM_RenderDvmrpRoute);
+
+void BM_RenderMbgp(benchmark::State& state) {
+  const router::MulticastRouter& fixw = render_fixw();
+  const sim::TimePoint now = render_scenario().engine().now();
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    router::cli::show_ip_mbgp_into(fixw, now, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  const auto routes = static_cast<std::int64_t>(fixw.mbgp()->route_count());
+  state.counters["routes"] = static_cast<double>(routes);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * routes);
+}
+BENCHMARK(BM_RenderMbgp);
+
+/// The walk alone under BM_RenderDvmrpRoute: FIXW's DVMRP table visited in
+/// address order with no text written.
+void BM_TrieVisit(benchmark::State& state) {
+  const dvmrp::RouteTable& table = render_fixw().dvmrp()->routes();
+  for (auto _ : state) {
+    int metrics = 0;
+    table.visit([&metrics](const dvmrp::Route& route) { metrics += route.metric; });
+    benchmark::DoNotOptimize(metrics);
+  }
+  state.counters["routes"] = static_cast<double>(table.size());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(table.size()));
+}
+BENCHMARK(BM_TrieVisit);
 
 void BM_SpikeDetector(benchmark::State& state) {
   core::SpikeDetector detector;

@@ -39,12 +39,12 @@ Route& RouteTable::upsert(const net::Prefix& prefix, int metric,
 
 const Route* RouteTable::rpf_lookup(net::Ipv4Address source) const {
   // Most specific *valid* covering route: a hold-down route does not shadow
-  // a shorter valid one.
-  const auto matches = table_.all_matches(source);
-  for (auto it = matches.rbegin(); it != matches.rend(); ++it) {
-    if (it->second->state == RouteState::kValid) return it->second;
-  }
-  return nullptr;
+  // a shorter valid one. Covering routes come shortest first.
+  const Route* best = nullptr;
+  table_.visit_matches(source, [&best](const net::Prefix&, const Route& route) {
+    if (route.state == RouteState::kValid) best = &route;
+  });
+  return best;
 }
 
 std::vector<Route> RouteTable::routes() const {

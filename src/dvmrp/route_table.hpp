@@ -56,7 +56,8 @@ class RouteTable {
 
   bool erase(const net::Prefix& prefix) { return table_.erase(prefix); }
 
-  /// Longest-prefix match used for RPF lookups on source addresses.
+  /// Longest-prefix match used for RPF lookups on source addresses: the most
+  /// specific covering route in kValid state, found in one trie descent.
   [[nodiscard]] const Route* rpf_lookup(net::Ipv4Address source) const;
 
   /// Visits routes in address order; templated so the per-route call

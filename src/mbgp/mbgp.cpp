@@ -222,8 +222,4 @@ std::optional<std::pair<net::Prefix, Path>> Mbgp::rpf_lookup(
   return std::make_pair(match->first, *match->second);
 }
 
-std::vector<std::pair<net::Prefix, Path>> Mbgp::loc_rib() const {
-  return best_.entries();
-}
-
 }  // namespace mantra::mbgp

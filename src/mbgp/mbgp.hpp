@@ -91,7 +91,13 @@ class Mbgp {
   [[nodiscard]] std::optional<std::pair<net::Prefix, Path>> rpf_lookup(
       net::Ipv4Address address) const;
 
-  [[nodiscard]] std::vector<std::pair<net::Prefix, Path>> loc_rib() const;
+  /// Visits the Loc-RIB's best paths in address order, in place; `fn`
+  /// takes (const net::Prefix&, const Path&) and must not change this
+  /// speaker.
+  template <typename Fn>
+  void visit_loc_rib(Fn&& fn) const {
+    best_.visit(fn);
+  }
   [[nodiscard]] std::size_t route_count() const { return best_.size(); }
   [[nodiscard]] AsNumber local_as() const { return config_.local_as; }
   [[nodiscard]] net::Ipv4Address router_id() const { return router_id_; }

@@ -9,10 +9,6 @@ namespace mantra::router::cli {
 
 namespace {
 
-std::string interface_name(const MulticastRouter& router, net::IfIndex ifindex) {
-  return router.interface_name(ifindex);
-}
-
 // Integer append without std::to_string temporaries.
 template <typename Int>
 void append_int(std::string& out, Int value) {
@@ -100,7 +96,7 @@ void show_ip_dvmrp_route_into(const MulticastRouter& router, sim::TimePoint now,
     if (route.ifindex == net::kInvalidIf) {
       out += "connected";
     } else {
-      out += interface_name(router, route.ifindex);
+      out += router.interface_name(route.ifindex);
     }
     out += "\n";
   });
@@ -128,7 +124,7 @@ void show_ip_mroute_into(const MulticastRouter& router, sim::TimePoint now,
       if (entry.upstream_if == net::kInvalidIf) {
         out += "Null";
       } else {
-        out += interface_name(router, entry.upstream_if);
+        out += router.interface_name(entry.upstream_if);
       }
       out += ", RPF nbr ";
       entry.upstream_neighbor.append_to(out);
@@ -139,7 +135,7 @@ void show_ip_mroute_into(const MulticastRouter& router, sim::TimePoint now,
         out += "\n";
         for (net::IfIndex oif : entry.oifs) {
           out += "    ";
-          out += interface_name(router, oif);
+          out += router.interface_name(oif);
           out += ", Forward/Sparse, ";
           append_uptime(out, now - entry.created);
           out += "/00:03:30\n";
@@ -161,7 +157,7 @@ void show_ip_mroute_into(const MulticastRouter& router, sim::TimePoint now,
     out += entry.mode == MfcMode::kDense ? "D" : "ST";
     if (entry.upstream_pruned) out += "P";
     out += "\n  Incoming interface: ";
-    out += interface_name(router, entry.iif);
+    out += router.interface_name(entry.iif);
     out += ", RPF nbr 0.0.0.0\n  Outgoing interface list:";
     if (entry.oifs.empty()) {
       out += " Null\n";
@@ -169,7 +165,7 @@ void show_ip_mroute_into(const MulticastRouter& router, sim::TimePoint now,
       out += "\n";
       for (net::IfIndex oif : entry.oifs) {
         out += "    ";
-        out += interface_name(router, oif);
+        out += router.interface_name(oif);
         out += ", Forward/";
         out += entry.mode == MfcMode::kDense ? "Dense" : "Sparse";
         out += ", ";
@@ -272,7 +268,7 @@ void show_ip_mbgp_into(const MulticastRouter& router, sim::TimePoint /*now*/,
   out +=
       "\nStatus codes: * valid, > best\n"
       "   Network            Next Hop            Path\n";
-  for (const auto& [prefix, path] : instance->loc_rib()) {
+  instance->visit_loc_rib([&out](const net::Prefix& prefix, const mbgp::Path& path) {
     out += "*> ";
     std::size_t field = out.size();
     prefix.append_to(out);
@@ -293,7 +289,7 @@ void show_ip_mbgp_into(const MulticastRouter& router, sim::TimePoint /*now*/,
       }
     }
     out += "\n";
-  }
+  });
 }
 
 void show_ip_igmp_groups_into(const MulticastRouter& router, sim::TimePoint now,
@@ -310,7 +306,7 @@ void show_ip_igmp_groups_into(const MulticastRouter& router, sim::TimePoint now,
       pad_field(out, field, 16);
       out += " ";
       field = out.size();
-      out += interface_name(router, ifindex);
+      out += router.interface_name(ifindex);
       pad_field(out, field, 13);
       out += " 00:00:00  ";  // "%-9s" of "00:00:00" == the 8 chars + 1 pad
       if (members.empty()) {

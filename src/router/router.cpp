@@ -146,10 +146,11 @@ void MulticastRouter::wire_protocols() {
   }
 }
 
-std::string MulticastRouter::interface_name(net::IfIndex ifindex) const {
-  if (ifindex == net::kInvalidIf) return "Null0";
+const std::string& MulticastRouter::interface_name(net::IfIndex ifindex) const {
+  static const std::string kNull = "Null0";
+  if (ifindex == net::kInvalidIf) return kNull;
   const net::Interface* iface = env_.topology().node(node_id_).interface(ifindex);
-  return iface == nullptr ? "Null0" : iface->name;
+  return iface == nullptr ? kNull : iface->name;
 }
 
 void MulticastRouter::start() {

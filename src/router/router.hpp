@@ -96,8 +96,9 @@ class MulticastRouter {
   [[nodiscard]] const std::string& hostname() const { return hostname_; }
 
   /// Interface name from the topology ("eth0", "tunnel2"); "Null0" for
-  /// kInvalidIf.
-  [[nodiscard]] std::string interface_name(net::IfIndex ifindex) const;
+  /// kInvalidIf or an unknown index. The reference lives as long as the
+  /// topology's interface.
+  [[nodiscard]] const std::string& interface_name(net::IfIndex ifindex) const;
   [[nodiscard]] const RouterConfig& config() const { return config_; }
 
   [[nodiscard]] igmp::Igmp& igmp() { return igmp_; }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
+#include <random>
 #include <vector>
 
 #include "dvmrp/dvmrp.hpp"
@@ -79,6 +82,50 @@ TEST(RouteTable, RpfLookupUsesLongestValidMatch) {
   const Route* fallback = table.rpf_lookup(net::Ipv4Address(10, 1, 2, 3));
   ASSERT_NE(fallback, nullptr);
   EXPECT_EQ(fallback->upstream, kPeerA);
+}
+
+// rpf_lookup's single descent equals its definition over all_matches: the
+// longest covering route in kValid state. Random tables mix hold-down
+// routes, re-learned routes and erasures.
+TEST(RouteTable, RpfLookupEqualsAllMatchesDefinition) {
+  sim::Engine engine;
+  std::mt19937 rng(1075);
+  const auto random_address = [&rng] {
+    return net::Ipv4Address(0x0A000000u | (static_cast<std::uint32_t>(rng()) & 0x000FFFFFu));
+  };
+  for (int trial = 0; trial < 10; ++trial) {
+    RouteTable table;
+    net::PrefixTrie<RouteState> mirror;  // same entries, state only
+    for (int i = 0; i < 300; ++i) {
+      const net::Prefix prefix(random_address(), 8 + static_cast<int>(rng() % 21));
+      if (rng() % 5 == 0) {
+        ASSERT_EQ(table.erase(prefix), mirror.erase(prefix));
+        continue;
+      }
+      Route& route = table.upsert(prefix, 1 + static_cast<int>(rng() % 31), kPeerA, 0,
+                                  false, engine.now());
+      if (rng() % 3 == 0) route.state = RouteState::kHolddown;
+      mirror.insert(prefix, route.state);
+    }
+    ASSERT_EQ(table.size(), mirror.size());
+    for (int probe = 0; probe < 500; ++probe) {
+      const net::Ipv4Address source = random_address();
+      const auto matches = mirror.all_matches(source);
+      std::optional<net::Prefix> want;
+      for (auto it = matches.rbegin(); it != matches.rend(); ++it) {
+        if (*it->second == RouteState::kValid) {
+          want = it->first;
+          break;
+        }
+      }
+      const Route* got = table.rpf_lookup(source);
+      ASSERT_EQ(got != nullptr, want.has_value()) << source.to_string();
+      if (got != nullptr) {
+        EXPECT_EQ(got->prefix, *want);
+        EXPECT_EQ(got->state, RouteState::kValid);
+      }
+    }
+  }
 }
 
 // --- Dvmrp protocol ---------------------------------------------------------

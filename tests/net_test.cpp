@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
 #include <random>
+#include <string>
+#include <vector>
 
 #include "net/ipv4.hpp"
 #include "net/prefix.hpp"
@@ -226,6 +230,137 @@ TEST(PrefixTrie, MatchesNaiveImplementationOnRandomTables) {
       }
     }
   }
+}
+
+// Differential property test: seeded insert/replace/erase churn against a
+// std::map oracle (which orders prefixes by (address, length), the trie's
+// visit order). Prefixes cluster under a few /8s and take every length from
+// 0 to 32, so forks, nested entries and splices all occur. After every step
+// the whole observable state must match; erasing everything leaves only
+// the root node.
+TEST(PrefixTrie, ChurnMatchesMapOracle) {
+  std::mt19937 rng(20261018);
+  const std::uint32_t clusters[] = {0x0A000000u, 0x0A010000u, 0xAC100000u, 0xC0A80000u};
+  const auto random_prefix = [&] {
+    const std::uint32_t base = clusters[rng() % std::size(clusters)];
+    const auto host = static_cast<std::uint32_t>(rng()) & (rng() % 2 == 0 ? 0xFFFFu : 0xFFFFFFu);
+    return Prefix(Ipv4Address(base | host), static_cast<int>(rng() % 33));
+  };
+  const auto random_probe = [&](const std::map<Prefix, int>& oracle) {
+    std::uint32_t addr = static_cast<std::uint32_t>(rng());
+    if (!oracle.empty() && rng() % 4 != 0) {
+      auto it = oracle.begin();
+      std::advance(it, static_cast<long>(rng() % oracle.size()));
+      addr = it->first.address().value() | (addr & ~it->first.netmask());
+    }
+    return Ipv4Address(addr);
+  };
+
+  for (int trial = 0; trial < 6; ++trial) {
+    PrefixTrie<int> trie;
+    std::map<Prefix, int> oracle;
+    std::vector<Prefix> touched;
+    for (int step = 0; step < 2000; ++step) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " step " + std::to_string(step));
+      // Early steps grow the table; later ones lean to erasing it. Most
+      // erases and a quarter of inserts hit a present entry (erase or
+      // replace), and some inserts re-learn a prefix seen before.
+      const bool grow = rng() % 2400 >= static_cast<unsigned>(step);
+      Prefix prefix = random_prefix();
+      if (!oracle.empty() && rng() % 4 >= (grow ? 3u : 1u)) {
+        auto it = oracle.begin();
+        std::advance(it, static_cast<long>(rng() % oracle.size()));
+        prefix = it->first;
+      } else if (!touched.empty() && rng() % 3 == 0) {
+        prefix = touched[rng() % touched.size()];
+      }
+      touched.push_back(prefix);
+      if (grow) {
+        const int value = static_cast<int>(rng() % 1000);
+        ASSERT_EQ(trie.insert(prefix, value), oracle.count(prefix) == 0);
+        oracle[prefix] = value;
+      } else {
+        ASSERT_EQ(trie.erase(prefix), oracle.erase(prefix) == 1);
+      }
+
+      ASSERT_EQ(trie.size(), oracle.size());
+      ASSERT_EQ(trie.empty(), oracle.empty());
+      ASSERT_LE(trie.node_count(), 2 * trie.size() + 1);
+      const auto entries = trie.entries();
+      ASSERT_EQ(entries.size(), oracle.size());
+      auto want = oracle.begin();
+      for (const auto& [p, v] : entries) {
+        ASSERT_EQ(p, want->first);
+        ASSERT_EQ(v, want->second);
+        ++want;
+      }
+      for (int look = 0; look < 4; ++look) {
+        const Prefix query = look == 0 ? prefix : touched[rng() % touched.size()];
+        const auto it = oracle.find(query);
+        const int* found = trie.find(query);
+        ASSERT_EQ(found != nullptr, it != oracle.end()) << query.to_string();
+        if (found != nullptr) {
+          ASSERT_EQ(*found, it->second);
+        }
+      }
+      for (int probe = 0; probe < 4; ++probe) {
+        const Ipv4Address addr = random_probe(oracle);
+        std::vector<std::pair<Prefix, int>> covering;  // shortest first
+        for (const auto& [p, v] : oracle) {
+          if (p.contains(addr)) covering.emplace_back(p, v);
+        }
+        std::sort(covering.begin(), covering.end(), [](const auto& a, const auto& b) {
+          return a.first.length() < b.first.length();
+        });
+        const auto matches = trie.all_matches(addr);
+        ASSERT_EQ(matches.size(), covering.size()) << addr.to_string();
+        for (std::size_t i = 0; i < matches.size(); ++i) {
+          ASSERT_EQ(matches[i].first, covering[i].first);
+          ASSERT_EQ(*matches[i].second, covering[i].second);
+        }
+        const auto best = trie.longest_match(addr);
+        ASSERT_EQ(best.has_value(), !covering.empty());
+        if (best) {
+          ASSERT_EQ(best->first, covering.back().first);
+          ASSERT_EQ(*best->second, covering.back().second);
+        }
+      }
+    }
+
+    std::vector<Prefix> remaining;
+    for (const auto& [p, v] : oracle) remaining.push_back(p);
+    std::shuffle(remaining.begin(), remaining.end(), rng);
+    for (const Prefix& p : remaining) ASSERT_TRUE(trie.erase(p));
+    EXPECT_TRUE(trie.empty());
+    EXPECT_EQ(trie.node_count(), 1u);  // only the root is left
+    EXPECT_TRUE(trie.entries().empty());
+    // Re-inserting into the emptied trie builds it up again.
+    for (const Prefix& p : remaining) trie.insert(p, 1);
+    EXPECT_EQ(trie.size(), remaining.size());
+    EXPECT_LE(trie.node_count(), 2 * trie.size() + 1);
+  }
+}
+
+TEST(PrefixTrie, ErasePrunesEmptiedBranches) {
+  PrefixTrie<int> trie;
+  trie.insert(*Prefix::parse("10.1.0.0/16"), 1);
+  trie.insert(*Prefix::parse("10.2.0.0/16"), 2);  // forks at 10.0.0.0/14
+  EXPECT_EQ(trie.node_count(), 4u);
+  trie.insert(*Prefix::parse("10.0.0.0/8"), 3);  // spliced in above the fork
+  EXPECT_EQ(trie.node_count(), 5u);
+  EXPECT_TRUE(trie.erase(*Prefix::parse("10.1.0.0/16")));
+  EXPECT_EQ(trie.node_count(), 3u);  // leaf and the fork it left go
+  EXPECT_EQ(trie.longest_match(Ipv4Address(10, 1, 2, 3))->first.to_string(), "10.0.0.0/8");
+  EXPECT_TRUE(trie.erase(*Prefix::parse("10.0.0.0/8")));
+  EXPECT_EQ(trie.node_count(), 2u);
+  EXPECT_FALSE(trie.erase(*Prefix::parse("10.0.0.0/8")));
+  EXPECT_TRUE(trie.insert(*Prefix::parse("10.3.0.0/16"), 4));
+  EXPECT_EQ(trie.node_count(), 4u);
+  EXPECT_EQ(*trie.find(*Prefix::parse("10.2.0.0/16")), 2);
+  EXPECT_EQ(*trie.find(*Prefix::parse("10.3.0.0/16")), 4);
+  trie.clear();
+  EXPECT_EQ(trie.node_count(), 1u);
+  EXPECT_EQ(trie.find(*Prefix::parse("10.2.0.0/16")), nullptr);
 }
 
 // --- Topology -------------------------------------------------------------------
