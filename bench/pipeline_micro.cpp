@@ -4,7 +4,9 @@
 // routers one Mantra instance can poll at a given cycle length, and the
 // "text scraping vs structured access" cost DESIGN.md calls out. The
 // render benchmarks time the other side of the capture: the simulated
-// router writing `show ip dvmrp route` and `show ip mbgp` from its tables.
+// router writing `show ip dvmrp route` and `show ip mbgp` from its tables,
+// and one whole capture of the five default commands with the transcript
+// bytes the collector holds between cycles.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -271,6 +273,39 @@ void BM_TrieVisit(benchmark::State& state) {
                           static_cast<std::int64_t>(table.size()));
 }
 BENCHMARK(BM_TrieVisit);
+
+/// One warm `Collector::capture` of FIXW's five default commands over the
+/// clean transport: render, transport and preprocess together.
+/// `held_bytes` is the transcript capacity the collector keeps between
+/// cycles, every slot's `raw_text` plus `clean_text`.
+void BM_CollectorCapture(benchmark::State& state) {
+  const router::MulticastRouter& fixw = render_fixw();
+  const sim::TimePoint now = render_scenario().engine().now();
+  core::Collector collector;
+  // Warm-up: one capture per command plus one, so that however the
+  // collector assigns buffers to slots, each has reached its steady size.
+  for (std::size_t i = 0; i <= collector.commands().size(); ++i) {
+    benchmark::DoNotOptimize(collector.capture(fixw, now).attempts);
+  }
+  std::size_t raw_bytes = 0;
+  for (auto _ : state) {
+    const core::CaptureReport& report = collector.capture(fixw, now);
+    raw_bytes = 0;
+    for (const core::RawCapture& capture : report.captures) {
+      benchmark::DoNotOptimize(capture.clean_text.data());
+      raw_bytes += capture.raw_text.size();
+    }
+    benchmark::ClobberMemory();
+  }
+  std::size_t held = 0;
+  for (const core::RawCapture& capture : collector.capture(fixw, now).captures) {
+    held += capture.raw_text.capacity() + capture.clean_text.capacity();
+  }
+  state.counters["held_bytes"] = static_cast<double>(held);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(raw_bytes));
+}
+BENCHMARK(BM_CollectorCapture);
 
 void BM_SpikeDetector(benchmark::State& state) {
   core::SpikeDetector detector;

@@ -312,9 +312,24 @@ ArchiveOptions checked(ArchiveOptions options) {
   return options;
 }
 
+/// Copies what a delta is taken against: the time and the four raw tables
+/// (the derived tables are never encoded).
+void copy_raw_tables(const Snapshot& from, Snapshot& to) {
+  to.captured = from.captured;
+  to.pairs = from.pairs;
+  to.routes = from.routes;
+  to.sa_cache = from.sa_cache;
+  to.mbgp_routes = from.mbgp_routes;
+}
+
 }  // namespace
 
 // --- ArchiveWriter ---------------------------------------------------------
+
+ArchiveWriter::RecordShape ArchiveWriter::RecordShape::of(const Snapshot& snapshot) {
+  return {snapshot.captured, snapshot.pairs.size(), snapshot.routes.size(),
+          snapshot.sa_cache.size(), snapshot.mbgp_routes.size()};
+}
 
 ArchiveWriter::ArchiveWriter(std::string path, ArchiveOptions options)
     : options_(checked(options)), log_(std::move(path), kFormat) {}
@@ -322,15 +337,22 @@ ArchiveWriter::ArchiveWriter(std::string path, ArchiveOptions options)
 ArchiveWriter::~ArchiveWriter() { close(); }
 
 void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& meta) {
-  if (!carry_) carry_.emplace();
-  append(snapshot, derive_cycle(snapshot, meta, *carry_));
+  if (!self_derived_) self_derived_ = std::make_unique<SelfDerived>();
+  SelfDerived& own = *self_derived_;
+  append(snapshot, own.previous, derive_cycle(snapshot, meta, own.carry));
+  copy_raw_tables(snapshot, own.previous);
 }
 
-void ArchiveWriter::append(const Snapshot& snapshot, const CycleResult& result) {
+void ArchiveWriter::append(const Snapshot& snapshot, const Snapshot& previous,
+                           const CycleResult& result) {
   const std::size_t cycle = log_.frames_written();
   const bool keyframe =
-      !options_.store_deltas || !have_previous_ ||
+      !options_.store_deltas || !last_ ||
       cycle % static_cast<std::size_t>(options_.keyframe_interval) == 0;
+  if (!keyframe && RecordShape::of(previous) != *last_) {
+    throw std::logic_error(
+        "ArchiveWriter::append: the delta base is not the last appended snapshot");
+  }
 
   std::string payload;
   payload.push_back(static_cast<char>(keyframe ? kKindKeyframe : kKindDelta));
@@ -345,25 +367,20 @@ void ArchiveWriter::append(const Snapshot& snapshot, const CycleResult& result) 
     encode_table(payload, snapshot.sa_cache);
     encode_table(payload, snapshot.mbgp_routes);
   } else {
-    encode_delta<PairRow>(payload, PairTable::diff(previous_.pairs, snapshot.pairs),
+    encode_delta<PairRow>(payload, PairTable::diff(previous.pairs, snapshot.pairs),
                           encode_pair_key);
     encode_delta<RouteRow>(payload,
-                           RouteTable::diff(previous_.routes, snapshot.routes),
+                           RouteTable::diff(previous.routes, snapshot.routes),
                            encode_prefix_key);
-    encode_delta<SaRow>(payload, SaTable::diff(previous_.sa_cache, snapshot.sa_cache),
+    encode_delta<SaRow>(payload, SaTable::diff(previous.sa_cache, snapshot.sa_cache),
                         encode_pair_key);
     encode_delta<MbgpRow>(
-        payload, MbgpTable::diff(previous_.mbgp_routes, snapshot.mbgp_routes),
+        payload, MbgpTable::diff(previous.mbgp_routes, snapshot.mbgp_routes),
         encode_prefix_key);
   }
 
   const std::uint64_t frame_bytes = log_.append(payload);
-
-  previous_.pairs = snapshot.pairs;
-  previous_.routes = snapshot.routes;
-  previous_.sa_cache = snapshot.sa_cache;
-  previous_.mbgp_routes = snapshot.mbgp_routes;
-  have_previous_ = true;
+  last_ = RecordShape::of(snapshot);
 
   if (telemetry_->enabled()) {
     MetricsRegistry& metrics = telemetry_->metrics();
@@ -557,6 +574,9 @@ CompactionStats compact_archive(const std::string& input_path,
   stats.bytes_in = reader.indexed_bytes();
   RollupBuilder rollups;
   SidecarFingerprint fingerprint;
+  // The writer's delta base: for_each reuses its snapshot, so the last kept
+  // cycle's tables need a copy of their own.
+  Snapshot previous;
   reader.for_each([&](std::size_t index, const Snapshot& snapshot, const ArchiveCycleMeta&) {
     if (options.drop_before && snapshot.captured < *options.drop_before) {
       ++stats.cycles_dropped;
@@ -565,7 +585,8 @@ CompactionStats compact_archive(const std::string& input_path,
     // The stored answer is copied through, never re-derived: the first kept
     // cycle keeps the route_changes and spike verdict the live monitor saw.
     const CycleResult& result = reader.result_at(index);
-    writer.append(snapshot, result);
+    writer.append(snapshot, previous, result);
+    copy_raw_tables(snapshot, previous);
     if (options.write_rollups) {
       // Rollups aggregate exactly the cycles that survive into the output,
       // so a bucket straddling drop_before is rebuilt from the kept tail.

@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -62,12 +63,21 @@ class ArchiveWriter {
   /// for `snapshot`, collection facts included). Key-frame/delta selection
   /// follows the configured interval; the first record is always a
   /// key-frame.
-  void append(const Snapshot& snapshot, const CycleResult& result);
+  ///
+  /// `previous` is the delta base: the snapshot this writer appended last
+  /// (any snapshot before the first append). The writer keeps no copy of
+  /// it, only the last record's time and four row counts; a delta whose
+  /// `previous` does not match them throws std::logic_error and writes
+  /// nothing. Key-frames do not read `previous`.
+  void append(const Snapshot& snapshot, const Snapshot& previous,
+              const CycleResult& result);
 
   /// Appends one monitoring cycle from its tables and collection facts
   /// alone: the writer runs derive_cycle itself, with the default
   /// processing configuration and a carry that has seen every cycle this
-  /// writer appended this way.
+  /// writer appended this way, and keeps its own copy of the last
+  /// appended tables as the delta base. Do not mix this form with the
+  /// one above on one writer.
   void append(const Snapshot& snapshot, const ArchiveCycleMeta& meta = {});
 
   /// Flushes buffered data to the OS and (on POSIX) to stable storage.
@@ -93,11 +103,29 @@ class ArchiveWriter {
   [[nodiscard]] const std::string& path() const { return log_.path(); }
 
  private:
+  /// What the delta guard knows of the last record: its time and the row
+  /// counts of its four raw tables.
+  struct RecordShape {
+    sim::TimePoint captured;
+    std::size_t pairs = 0;
+    std::size_t routes = 0;
+    std::size_t sa_cache = 0;
+    std::size_t mbgp_routes = 0;
+
+    [[nodiscard]] static RecordShape of(const Snapshot& snapshot);
+    bool operator==(const RecordShape&) const = default;
+  };
+  /// The meta-only append's own state: its derivation carry and its copy
+  /// of the last appended tables.
+  struct SelfDerived {
+    CycleCarry carry;
+    Snapshot previous;
+  };
+
   ArchiveOptions options_;
   FramedLogWriter log_;
-  Snapshot previous_;
-  bool have_previous_ = false;
-  std::optional<CycleCarry> carry_;  ///< the meta-only append's derivation
+  std::optional<RecordShape> last_;  ///< empty until the first append
+  std::unique_ptr<SelfDerived> self_derived_;  ///< null unless the meta form ran
   Telemetry* telemetry_ = &Telemetry::noop();
   std::string telemetry_label_;
   TelemetryStage* stage_ = nullptr;

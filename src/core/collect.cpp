@@ -411,15 +411,16 @@ void Collector::do_capture(const router::MulticastRouter& router,
     for (std::size_t attempt = 1; attempt <= max_attempts; ++attempt) {
       const std::int64_t attempt_wall_start =
           telemetry_on ? telemetry_->tracer().wall_now_us() : 0;
+      // The transport renders into the slot's own buffer, lent for the
+      // attempt and handed back, so each slot's capacity is sized by its
+      // own command; `op_.text` stays the spare connect_into uses.
+      std::swap(capture.raw_text, op_.text);
       transport_->execute_into(router, command, now, op_);
+      std::swap(capture.raw_text, op_.text);
       ++report.attempts;
       capture.attempts = attempt;
       capture.latency += op_.latency;
       capture.transport_status = op_.status;
-      // Swap, don't move: the slot's previous transcript buffer becomes the
-      // transport's next render buffer, so capacity circulates instead of
-      // being reallocated every cycle.
-      std::swap(capture.raw_text, op_.text);
       capture.clean_text.clear();
       if (telemetry_on) {
         TraceSpan attempt_span;

@@ -189,7 +189,10 @@ class Collector {
   TelemetryStage own_stage_;          ///< default staging sink (auto-flushed)
   TelemetryStage* stage_ = &own_stage_;
   CaptureReport report_;     ///< reused result storage (see capture())
-  TransportResult op_;       ///< reused per-operation transport buffer
+  /// Reused per-operation outcome. Command transcripts render into their
+  /// slot's own `raw_text` (lent for each attempt); `op_.text` is the spare
+  /// connect_into fills.
+  TransportResult op_;
 };
 
 }  // namespace mantra::core

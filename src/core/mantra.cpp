@@ -391,7 +391,8 @@ void Mantra::run_target_cycle(TargetState& target, sim::TimePoint now,
     target_scope.set_sim_interval(now, report.latency);
   }
 
-  if (target.archive) target.archive->append(snapshot, result);
+  // `latest` is the snapshot this writer appended last: the delta base.
+  if (target.archive) target.archive->append(snapshot, target.latest, result);
 
   target.summary.add(result);
   target.results.push_back(result);

@@ -291,6 +291,8 @@ class Mantra {
     std::unique_ptr<ArchiveWriter> archive;  ///< null when archiving is off
     std::vector<CycleResult> results;
     TargetSummary summary;  ///< `results` folded, for status()
+    /// The last recorded cycle's snapshot: the stale-table carry source and
+    /// the archive writer's delta base (the writer keeps no copy).
     Snapshot latest;
     /// Build area for the cycle in progress: every recorded cycle parses
     /// into these tables (capacity retained from two cycles ago) and then

@@ -157,7 +157,9 @@ void FaultInjectingTransport::execute_into(const router::MulticastRouter& router
     out.status = TransportStatus::garbled;
     garble_buffer_.clear();
     garble_into(out.text, garble_buffer_);
-    std::swap(out.text, garble_buffer_);
+    // Copy back, don't swap: `out.text` is the caller's buffer for this
+    // command, and a swap would hand it another command's capacity.
+    out.text.assign(garble_buffer_);
     record_fault("garbled");
   } else if (slow) {
     // The dump itself is intact; it just arrives past any sane deadline.

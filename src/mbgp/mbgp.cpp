@@ -215,11 +215,9 @@ void Mbgp::peer_down(net::Ipv4Address peer) {
   if (any_change && routes_changed_) routes_changed_();
 }
 
-std::optional<std::pair<net::Prefix, Path>> Mbgp::rpf_lookup(
-    net::Ipv4Address address) const {
+const Path* Mbgp::rpf_lookup(net::Ipv4Address address) const {
   const auto match = best_.longest_match(address);
-  if (!match) return std::nullopt;
-  return std::make_pair(match->first, *match->second);
+  return match ? match->second : nullptr;
 }
 
 }  // namespace mantra::mbgp

@@ -1,8 +1,10 @@
 // MBGP (BGP4 multiprotocol extensions, SAFI 2): inter-domain exchange of
 // multicast RPF routes. This is the "next-generation" interdomain routing
-// substrate the paper's title refers to: post-transition, PIM-SM RPF lookups
-// for interdomain sources resolve through the MBGP Loc-RIB instead of the
-// DVMRP routing table.
+// substrate the paper's title refers to. In this simulator the Loc-RIB
+// feeds `show ip mbgp` and MSDP peer-RPF (the peer that sent the best path
+// towards an SA's originating RP); PIM-SM RPF does not consult it yet (it
+// resolves through connected subnets and the unicast RIB, see
+// MulticastRouter::rpf_sparse).
 //
 // Modelled as a per-router speaker with configured peers; session transport
 // (TCP in reality) is abstracted to reliable in-order message delivery by
@@ -12,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -87,9 +88,10 @@ class Mbgp {
   void originate(const std::vector<net::Prefix>& prefixes);
   void withdraw(const std::vector<net::Prefix>& prefixes);
 
-  /// RPF lookup into the Loc-RIB: best path covering `address`.
-  [[nodiscard]] std::optional<std::pair<net::Prefix, Path>> rpf_lookup(
-      net::Ipv4Address address) const;
+  /// RPF lookup into the Loc-RIB: the best path of the longest prefix
+  /// covering `address`, or null. The pointer is into the Loc-RIB and
+  /// stays valid until the next change to this speaker's routes.
+  [[nodiscard]] const Path* rpf_lookup(net::Ipv4Address address) const;
 
   /// Visits the Loc-RIB's best paths in address order, in place; `fn`
   /// takes (const net::Prefix&, const Path&) and must not change this

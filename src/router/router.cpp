@@ -120,9 +120,9 @@ void MulticastRouter::wire_protocols() {
       // the originating RP; fall back to the lowest-address peer so a
       // deterministic flooding topology exists even without MBGP.
       if (mbgp_) {
-        if (const auto path = mbgp_->rpf_lookup(origin_rp)) {
+        if (const mbgp::Path* path = mbgp_->rpf_lookup(origin_rp)) {
           for (const msdp::PeerConfig& peer : msdp_->config().peers) {
-            if (peer.address == path->second.learned_from) return peer.address;
+            if (peer.address == path->learned_from) return peer.address;
           }
         }
       }

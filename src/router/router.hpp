@@ -119,7 +119,8 @@ class MulticastRouter {
   // --- RPF ---
   /// RPF for dense-mode data (DVMRP routing table).
   [[nodiscard]] std::optional<pim::RpfResult> rpf_dense(net::Ipv4Address source) const;
-  /// RPF for PIM-SM (MBGP Loc-RIB first, then the unicast RIB).
+  /// RPF for PIM-SM: a connected subnet first, then the unicast RIB. The
+  /// MBGP Loc-RIB is not consulted.
   [[nodiscard]] std::optional<pim::RpfResult> rpf_sparse(net::Ipv4Address target) const;
 
   /// True if this router is the designated router on `ifindex` (lowest

@@ -466,6 +466,47 @@ TEST(Archive, WriterRejectsBadOptionsAndClosedAppends) {
   EXPECT_THROW(writer.append(Snapshot{}), std::runtime_error);
 }
 
+TEST(Archive, DeltaAgainstAnyButTheLastAppendedSnapshotThrows) {
+  // The result form keeps no copy of the previous cycle: the caller passes
+  // it, and the writer checks that it is the snapshot appended last (time
+  // and row counts) before encoding a delta against it.
+  const std::string path = temp_path("delta_base.marc");
+  const std::vector<Snapshot> history = synth_history(4);
+  CycleCarry carry;
+  std::vector<CycleResult> results;
+  for (int i = 0; i < 4; ++i) {
+    results.push_back(derive_cycle(history[static_cast<std::size_t>(i)], meta_for(i), carry));
+  }
+  ArchiveOptions options;
+  options.fsync_on_keyframe = false;
+  {
+    ArchiveWriter writer(path, options);
+    writer.append(history[0], Snapshot{}, results[0]);  // key-frame: base unread
+    writer.append(history[1], history[0], results[1]);
+    const std::uint64_t bytes = writer.bytes_written();
+
+    // One cycle too old, the right time with a row too many, and the
+    // snapshot being appended itself.
+    Snapshot padded = history[1];
+    padded.mbgp_routes.upsert(mbgp(99));
+    const Snapshot* const wrong_bases[] = {&history[0], &padded, &history[2]};
+    for (const Snapshot* wrong : wrong_bases) {
+      EXPECT_THROW(writer.append(history[2], *wrong, results[2]), std::logic_error);
+      EXPECT_EQ(writer.cycles_written(), 2u);
+      EXPECT_EQ(writer.bytes_written(), bytes);
+    }
+    writer.append(history[2], history[1], results[2]);
+    writer.append(history[3], history[2], results[3]);
+  }
+  const ArchiveReader reader(path);
+  ASSERT_EQ(reader.size(), 4u);
+  for (std::size_t i = 0; i < reader.size(); ++i) {
+    EXPECT_EQ(reader.keyframe_at(i), i == 0) << "cycle " << i;
+    expect_tables_equal(reader.snapshot(i), history[i], "cycle " + std::to_string(i));
+    EXPECT_EQ(reader.result_at(i), results[i]) << "cycle " << i;
+  }
+}
+
 // --- The acceptance run: live scenario vs offline replay -------------------
 
 class ArchiveReplay : public ::testing::Test {

@@ -153,33 +153,67 @@ TEST_F(MantraPipeline, LatestSnapshotHoldsItsOwnCyclesDerivedTables) {
 
 TEST_F(MantraPipeline, LoggerRecordsEveryCycleAndReconstructs) {
   // Mantra's key-frame/delta log is the `.marc` archive: every recorded
-  // cycle lands there, and the last one reconstructs to the latest
-  // snapshot's rows with equal stable fields (an empty Table::diff). Time-
-  // derived fields are rebuilt by recurrence, so they are not compared.
+  // cycle lands there, and each reconstructs to the snapshot the monitor
+  // held after that cycle, with equal stable fields (an empty Table::diff).
+  // Time-derived fields are rebuilt by recurrence, so they are not
+  // compared. The writer takes each delta against the target's `latest`
+  // snapshot; with 20 % command failures and no retries both targets have
+  // stale cycles (tables carried forward) and dark ones (nothing recorded).
   const std::string dir = ::testing::TempDir() + "mantra_pipeline_marc";
   std::filesystem::remove_all(dir);
   MantraConfig config;
   config.cycle = sim::Duration::minutes(15);
+  config.retry.max_attempts = 1;
   config.archive_dir = dir;
-  auto archived = std::make_unique<Mantra>(scenario_.engine(), config);
+  auto archived = std::make_unique<Mantra>(
+      scenario_.engine(), config,
+      [](const std::string& name) -> std::unique_ptr<Transport> {
+        return std::make_unique<FaultInjectingTransport>(
+            per_target_seed(0x1ed9e7, name), FaultProfile::command_failure_rate(0.2));
+      });
   archived->add_target(scenario_.network().router(scenario_.fixw_node()));
+  archived->add_target(scenario_.network().router(scenario_.ucsb_node()));
+  const char* const names[] = {"fixw", "ucsb-gw"};
+  std::vector<Snapshot> recorded[std::size(names)];
+  archived->set_cycle_hook([&](std::size_t) {
+    for (std::size_t t = 0; t < std::size(names); ++t) {
+      const Mantra::TargetView view = archived->target_view(names[t]);
+      if (view.results().size() > recorded[t].size()) {
+        recorded[t].push_back(view.latest_snapshot());
+      }
+    }
+  });
   archived->start();
-  run_hours(2);
-  const Snapshot latest = archived->target_view("fixw").latest_snapshot();
-  ASSERT_NE(archived->target_view("fixw").archive(), nullptr);
-  EXPECT_EQ(archived->target_view("fixw").archive()->cycles_written(), 8u);
-  archived.reset();  // closes the archive
+  run_hours(12);
+  for (std::size_t t = 0; t < std::size(names); ++t) {
+    const Mantra::TargetView view = archived->target_view(names[t]);
+    std::size_t stale_cycles = 0;
+    for (const CycleResult& result : view.results()) stale_cycles += result.stale;
+    EXPECT_LT(view.results().size(), 48u) << names[t] << ": no dark cycle";
+    EXPECT_GT(stale_cycles, 0u) << names[t] << ": no stale cycle";
+    ASSERT_EQ(recorded[t].size(), view.results().size()) << names[t];
+    ASSERT_NE(view.archive(), nullptr);
+    EXPECT_EQ(view.archive()->cycles_written(), view.results().size()) << names[t];
+  }
+  archived.reset();  // closes the archives
 
-  const ArchiveReader reader(dir + "/fixw.marc");
-  ASSERT_EQ(reader.size(), 8u);
-  const Snapshot rebuilt = reader.snapshot(7);
-  EXPECT_EQ(rebuilt.captured, latest.captured);
-  EXPECT_GT(latest.pairs.size(), 0u);
-  EXPECT_GT(latest.routes.size(), 0u);
-  EXPECT_TRUE(PairTable::diff(rebuilt.pairs, latest.pairs).empty());
-  EXPECT_TRUE(RouteTable::diff(rebuilt.routes, latest.routes).empty());
-  EXPECT_TRUE(SaTable::diff(rebuilt.sa_cache, latest.sa_cache).empty());
-  EXPECT_TRUE(MbgpTable::diff(rebuilt.mbgp_routes, latest.mbgp_routes).empty());
+  for (std::size_t t = 0; t < std::size(names); ++t) {
+    const ArchiveReader reader(dir + "/" + names[t] + ".marc");
+    const std::vector<Snapshot>& held = recorded[t];
+    ASSERT_EQ(reader.size(), held.size()) << names[t];
+    EXPECT_GT(held.back().pairs.size(), 0u) << names[t];
+    EXPECT_GT(held.back().routes.size(), 0u) << names[t];
+    for (std::size_t i = 0; i < held.size(); ++i) {
+      const Snapshot rebuilt = reader.snapshot(i);
+      const std::string label = std::string(names[t]) + " cycle " + std::to_string(i);
+      EXPECT_EQ(rebuilt.captured, held[i].captured) << label;
+      EXPECT_TRUE(PairTable::diff(rebuilt.pairs, held[i].pairs).empty()) << label;
+      EXPECT_TRUE(RouteTable::diff(rebuilt.routes, held[i].routes).empty()) << label;
+      EXPECT_TRUE(SaTable::diff(rebuilt.sa_cache, held[i].sa_cache).empty()) << label;
+      EXPECT_TRUE(MbgpTable::diff(rebuilt.mbgp_routes, held[i].mbgp_routes).empty())
+          << label;
+    }
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -2,13 +2,17 @@
 // statuses, and deterministic fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/collect.hpp"
 #include "core/transport.hpp"
 #include "router/cli.hpp"
 #include "router/network.hpp"
+#include "workload/scenario.hpp"
 
 namespace mantra::core {
 namespace {
@@ -279,6 +283,107 @@ TEST_F(TransportTest, ReportFindAndHelpers) {
   EXPECT_NE(report.find("show ip mbgp"), nullptr);
   EXPECT_EQ(report.find("no such command"), nullptr);
   EXPECT_EQ(report.ok_count() + report.failure_count(), report.captures.size());
+}
+
+/// Passes every operation to the wrapped transport and records, per
+/// command, the largest transcript any attempt returned: the most a slot's
+/// buffer has had to hold, garbled attempts included.
+class LargestTranscriptTransport : public Transport {
+ public:
+  explicit LargestTranscriptTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  void connect_into(const router::MulticastRouter& router, sim::TimePoint now,
+                    TransportResult& out) override {
+    inner_->connect_into(router, now, out);
+  }
+  void execute_into(const router::MulticastRouter& router,
+                    std::string_view command, sim::TimePoint now,
+                    TransportResult& out) override {
+    inner_->execute_into(router, command, now, out);
+    std::size_t& largest = largest_[std::string(command)];
+    largest = std::max(largest, out.text.size());
+  }
+  void disconnect() override { inner_->disconnect(); }
+
+  [[nodiscard]] std::size_t largest(const std::string& command) const {
+    const auto it = largest_.find(command);
+    return it == largest_.end() ? 0 : it->second;
+  }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::map<std::string, std::size_t> largest_;
+};
+
+// Each capture slot keeps a transcript buffer sized by its own command: no
+// slot ever carries capacity that another command's (much larger) DVMRP
+// dump grew, on a clean transport or on one that garbles.
+TEST(CollectorBuffers, EachSlotHoldsOnlyItsOwnCommandsTranscript) {
+  workload::ScenarioConfig config;
+  config.seed = 17;
+  config.domains = 14;
+  config.hosts_per_domain = 4;
+  config.dvmrp_prefixes_per_domain = 40;
+  config.generator.bursts_per_day = 0.0;
+  workload::FixwScenario scenario(config);
+  scenario.start();
+  scenario.engine().run_until(scenario.engine().now() + sim::Duration::hours(2));
+  const router::MulticastRouter& fixw =
+      *scenario.network().router(scenario.fixw_node());
+  ASSERT_GE(fixw.dvmrp()->routes().size(), 300u);
+
+  auto clean_owned = std::make_unique<LargestTranscriptTransport>(
+      std::make_unique<CliTransport>());
+  LargestTranscriptTransport& clean_transport = *clean_owned;
+  Collector clean(default_command_set(), RetryPolicy{}, std::move(clean_owned));
+
+  FaultProfile garbling;
+  garbling.garble_p = 0.3;
+  auto faulty_inner = std::make_unique<FaultInjectingTransport>(23, garbling);
+  const FaultInjectingTransport& garbler = *faulty_inner;
+  auto faulty_owned =
+      std::make_unique<LargestTranscriptTransport>(std::move(faulty_inner));
+  LargestTranscriptTransport& faulty_transport = *faulty_owned;
+  Collector faulty(default_command_set(), RetryPolicy{}, std::move(faulty_owned));
+
+  const auto expect_slots_sized_by_their_own_command =
+      [](const CaptureReport& report, const LargestTranscriptTransport& transport,
+         const char* label, int cycle) {
+        for (const RawCapture& capture : report.captures) {
+          const std::size_t largest = transport.largest(capture.command);
+          ASSERT_GT(largest, 0u) << label << " " << capture.command;
+          EXPECT_LE(capture.raw_text.capacity(), 2 * largest)
+              << label << " cycle " << cycle << ": " << capture.command
+              << " holds capacity for another command's transcript";
+        }
+      };
+
+  std::size_t dvmrp_bytes = 0;
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    scenario.engine().run_until(scenario.engine().now() + sim::Duration::minutes(15));
+    const sim::TimePoint now = scenario.engine().now();
+
+    const CaptureReport& clean_report = clean.capture(fixw, now);
+    ASSERT_TRUE(clean_report.all_ok());
+    expect_slots_sized_by_their_own_command(clean_report, clean_transport, "clean",
+                                            cycle);
+    for (const RawCapture& capture : clean_report.captures) {
+      EXPECT_TRUE(capture.raw_text ==
+                  router::cli::telnet_capture(fixw, capture.command, now))
+          << "cycle " << cycle << ": " << capture.command;
+    }
+    dvmrp_bytes = std::max(dvmrp_bytes,
+                           clean_report.find("show ip dvmrp route")->raw_text.size());
+
+    const CaptureReport& faulty_report = faulty.capture(fixw, now);
+    expect_slots_sized_by_their_own_command(faulty_report, faulty_transport,
+                                            "garbling", cycle);
+  }
+  // The test has teeth: FIXW's DVMRP dump dwarfs the other transcripts,
+  // and the garbling transport did garble.
+  EXPECT_GT(dvmrp_bytes, 8 * clean_transport.largest("show ip igmp groups"));
+  EXPECT_GT(garbler.faults_injected(), 0u);
 }
 
 TEST(FaultProfileTest, CommandFailureRateSplitsBudget) {

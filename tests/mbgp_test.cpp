@@ -82,9 +82,9 @@ TEST_F(MbgpTest, ShorterAsPathWins) {
   mbgp->start();
   mbgp->on_update(announce(kPeerA, P("10.9.0.0/16"), {200, 400, 500}));
   mbgp->on_update(announce(kPeerB, P("10.9.0.0/16"), {300}));
-  const auto path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 1, 1));
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->second.learned_from, kPeerB);
+  const Path* path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 1, 1));
+  ASSERT_NE(path, nullptr);
+  EXPECT_EQ(path->learned_from, kPeerB);
 }
 
 TEST_F(MbgpTest, EqualLengthTiebreaksOnLowerPeer) {
@@ -92,9 +92,9 @@ TEST_F(MbgpTest, EqualLengthTiebreaksOnLowerPeer) {
   mbgp->start();
   mbgp->on_update(announce(kPeerB, P("10.9.0.0/16"), {300}));
   mbgp->on_update(announce(kPeerA, P("10.9.0.0/16"), {200}));
-  const auto path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 1, 1));
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->second.learned_from, kPeerA);
+  const Path* path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 1, 1));
+  ASSERT_NE(path, nullptr);
+  EXPECT_EQ(path->learned_from, kPeerA);
 }
 
 TEST_F(MbgpTest, LocalRouteBeatsLearned) {
@@ -103,9 +103,9 @@ TEST_F(MbgpTest, LocalRouteBeatsLearned) {
   auto mbgp = make(std::move(config));
   mbgp->start();
   mbgp->on_update(announce(kPeerA, P("10.9.0.0/16"), {200}));
-  const auto path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 0, 1));
-  ASSERT_TRUE(path.has_value());
-  EXPECT_TRUE(path->second.local);
+  const Path* path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 0, 1));
+  ASSERT_NE(path, nullptr);
+  EXPECT_TRUE(path->local);
 }
 
 TEST_F(MbgpTest, WithdrawRemovesAndPropagates) {
@@ -130,9 +130,9 @@ TEST_F(MbgpTest, WithdrawFallsBackToSecondBest) {
   withdraw.sender = kPeerA;
   withdraw.withdraw = {P("10.9.0.0/16")};
   mbgp->on_update(withdraw);
-  const auto path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 0, 1));
-  ASSERT_TRUE(path.has_value());
-  EXPECT_EQ(path->second.learned_from, kPeerB);
+  const Path* path = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 0, 1));
+  ASSERT_NE(path, nullptr);
+  EXPECT_EQ(path->learned_from, kPeerB);
 }
 
 TEST_F(MbgpTest, PeerDownFlushesItsRoutes) {
@@ -184,12 +184,18 @@ TEST_F(MbgpTest, RpfLookupUsesLongestMatch) {
   mbgp->start();
   mbgp->on_update(announce(kPeerA, P("10.0.0.0/8"), {200}));
   mbgp->on_update(announce(kPeerB, P("10.9.0.0/16"), {300}));
-  const auto broad = mbgp->rpf_lookup(net::Ipv4Address(10, 1, 1, 1));
-  const auto narrow = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 1, 1));
+  const Path* broad = mbgp->rpf_lookup(net::Ipv4Address(10, 1, 1, 1));
+  const Path* narrow = mbgp->rpf_lookup(net::Ipv4Address(10, 9, 1, 1));
   ASSERT_TRUE(broad && narrow);
-  EXPECT_EQ(broad->second.learned_from, kPeerA);
-  EXPECT_EQ(narrow->second.learned_from, kPeerB);
-  EXPECT_FALSE(mbgp->rpf_lookup(net::Ipv4Address(11, 0, 0, 1)).has_value());
+  EXPECT_EQ(broad->learned_from, kPeerA);
+  EXPECT_EQ(narrow->learned_from, kPeerB);
+  EXPECT_EQ(mbgp->rpf_lookup(net::Ipv4Address(11, 0, 0, 1)), nullptr);
+  // The lookup points into the Loc-RIB rather than copying the path.
+  const Path* stored = nullptr;
+  mbgp->visit_loc_rib([&](const net::Prefix& prefix, const Path& path) {
+    if (prefix == P("10.9.0.0/16")) stored = &path;
+  });
+  EXPECT_EQ(narrow, stored);
 }
 
 TEST_F(MbgpTest, DuplicateAnnouncementDoesNotRepropagate) {
