@@ -216,10 +216,13 @@ int main() {
   const std::string naive_path = output_dir() + "/teltrace_scale_naive.mtel";
   std::uint64_t naive_bytes = 0;
   {
+    // The self-monitor keeps no full samples: re-encode the ones the `.mtel`
+    // holds.
+    const core::TelemetryArchiveReader recorded(mtel_path);
     core::TelemetryArchiveOptions naive_options;
     naive_options.keyframe_interval = 1;
     core::TelemetryArchiveWriter naive(naive_path, naive_options);
-    for (const core::TelemetrySample& sample : self.samples()) {
+    for (const core::TelemetrySample& sample : recorded.samples()) {
       naive.append(sample);
     }
     naive.close();

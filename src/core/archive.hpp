@@ -23,6 +23,7 @@
 // RecoveryInfo.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
@@ -87,8 +88,9 @@ class ArchiveWriter {
   void close();
 
   /// Attaches a telemetry sink recording record mix, bytes, fsync count and
-  /// fsync wall duration under `label` (the target name). Never pass null —
-  /// use Telemetry::noop() to detach.
+  /// fsync wall duration under `label` (the target name), and drops the
+  /// cached metric handles. Never pass null — use Telemetry::noop() to
+  /// detach.
   void set_telemetry(Telemetry* telemetry, std::string label);
 
   /// Routes the writer's events (archive_keyframe) through a per-target
@@ -129,6 +131,14 @@ class ArchiveWriter {
   Telemetry* telemetry_ = &Telemetry::noop();
   std::string telemetry_label_;
   TelemetryStage* stage_ = nullptr;
+  /// Metric handles, each looked up the first time the writer records into
+  /// it.
+  struct Handles {
+    std::array<Counter*, 2> records{};  ///< key-frame, delta
+    Counter* bytes = nullptr;
+    Counter* fsyncs = nullptr;
+    Histogram* fsync_seconds = nullptr;
+  } handles_;
 };
 
 /// Random-access reader over an archive file with a time-range index.

@@ -10,6 +10,7 @@
 // pretending every scrape succeeded.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -156,7 +157,8 @@ class Collector {
 
   /// Attaches a telemetry sink (forwarded to the owned transport) and the
   /// target label stamped on every metric/span/event this collector
-  /// records. Never pass null — use Telemetry::noop() to detach.
+  /// records, and drops the cached metric handles. Never pass null — use
+  /// Telemetry::noop() to detach.
   ///
   /// Spans and events route through a TelemetryStage: by default a
   /// collector-owned one that auto-flushes at the end of each capture()
@@ -177,8 +179,20 @@ class Collector {
   /// The collection pass proper; capture() wraps it so the span scopes are
   /// closed before a standalone collector auto-flushes its own stage.
   void do_capture(const router::MulticastRouter& router, sim::TimePoint now);
-  void record_capture_telemetry(const RawCapture& capture, sim::TimePoint now,
-                                sim::Duration backoff_total);
+  /// Records one settled capture of `commands_[index]`.
+  void record_capture_telemetry(const RawCapture& capture, std::size_t index,
+                                sim::TimePoint now, sim::Duration backoff_total);
+
+  /// Metric handles, each looked up (and so created) the first time a
+  /// capture records into it.
+  struct Handles {
+    std::array<Counter*, 4> status{};    ///< by CaptureStatus
+    std::array<Counter*, 3> deadline{};  ///< by DeadlinePhase (none unused)
+    Counter* retries = nullptr;
+    Counter* backoff_ms = nullptr;
+    Histogram* latency = nullptr;
+    std::vector<Histogram*> command_latency;  ///< by command index
+  };
 
   std::vector<std::string> commands_;
   RetryPolicy policy_;
@@ -186,6 +200,7 @@ class Collector {
   sim::Rng jitter_rng_;
   Telemetry* telemetry_ = &Telemetry::noop();
   std::string telemetry_target_;
+  Handles handles_;
   TelemetryStage own_stage_;          ///< default staging sink (auto-flushed)
   TelemetryStage* stage_ = &own_stage_;
   CaptureReport report_;     ///< reused result storage (see capture())

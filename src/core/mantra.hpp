@@ -311,6 +311,16 @@ class Mantra {
     /// This target's stable trace lane: 2 + name-order index (tid 1 is the
     /// driver thread). Assigned by add_target.
     std::uint32_t tid = 0;
+    /// This target's `{target=name}` counters, each looked up the first
+    /// time the worker running the shard records into it.
+    struct Counters {
+      Counter* dark = nullptr;
+      Counter* recorded = nullptr;
+      Counter* parse_rows = nullptr;
+      Counter* parse_warnings = nullptr;
+      Counter* stale_tables = nullptr;
+      Counter* route_spikes = nullptr;
+    } counters;
 
     explicit TargetState(const MantraConfig& config)
         : carry(config.sender_threshold_kbps, config.spike_window, config.spike_k) {}
@@ -338,6 +348,16 @@ class Mantra {
   // so each cycle inc()s only the delta.
   std::uint64_t trace_drops_synced_ = 0;
   std::uint64_t event_drops_synced_ = 0;
+  /// The per-cycle metric handles, used on the engine thread and each
+  /// looked up the first time a cycle records into it.
+  struct CycleHandles {
+    Counter* cycles = nullptr;
+    Gauge* targets = nullptr;
+    Histogram* duration = nullptr;
+    Gauge* queue_peak = nullptr;
+    Counter* trace_drops = nullptr;
+    Counter* event_drops = nullptr;
+  } cycle_handles_;
 };
 
 }  // namespace mantra::core

@@ -37,9 +37,10 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Attaches a telemetry sink recording queue depth, task throughput,
-  /// per-task wall wait/run times and worker occupancy. Taken under the
-  /// pool mutex so workers observe it on their next dequeue. Never pass
-  /// null — use Telemetry::noop() to detach.
+  /// per-task wall wait/run times and worker occupancy, and drops the
+  /// cached metric handles. Taken under the pool mutex so workers observe
+  /// it on their next dequeue. Never pass null — use Telemetry::noop() to
+  /// detach.
   void set_telemetry(Telemetry* telemetry);
 
   /// Enqueues one task. Thread-safe. The task must not throw out of the
@@ -57,6 +58,17 @@ class ThreadPool {
     std::function<void()> fn;
     std::int64_t enqueued_us = 0;  ///< tracer wall clock at submit (0 = off)
   };
+  /// Metric handles, shared by the workers and so read and filled only
+  /// under `mutex_`: the submit-side ones on the first submit, the
+  /// worker-side ones on the first dequeue. A worker copies them out with
+  /// its task.
+  struct Handles {
+    Counter* tasks = nullptr;
+    Gauge* queue_depth = nullptr;
+    Histogram* wait = nullptr;
+    Gauge* busy = nullptr;
+    Histogram* run = nullptr;
+  };
 
   void worker_loop();
 
@@ -67,6 +79,7 @@ class ThreadPool {
   std::condition_variable wake_;
   bool stopping_ = false;
   Telemetry* telemetry_ = &Telemetry::noop();
+  Handles handles_;
 };
 
 /// Runs every task to completion and returns only when all have finished.

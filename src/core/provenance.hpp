@@ -108,15 +108,15 @@ inline constexpr std::size_t kMaxProvenanceEvents = 12;
 /// Attaches to each record the events whose `target` field names the
 /// record's target and whose timestamp falls inside [first window point,
 /// fired_at], ordered by (sim_ts, seq), newest kMaxProvenanceEvents kept.
-/// Pure function of its inputs: feeding the same events live (SelfMonitor
-/// samples) and offline (`.mtel` replay) yields byte-identical tails.
+/// Pure function of its inputs: feeding the same events live
+/// (SelfMonitor::events) and offline (`.mtel` replay) yields byte-identical
+/// tails.
 void attach_provenance_events(std::vector<ProvenanceRecord>& records,
                               const std::vector<TelemetryEvent>& events);
 
-/// Convenience overload over self-telemetry samples (live SelfMonitor
-/// history or a `.mtel` TelemetryArchiveReader's samples): concatenates the
-/// per-sample event tails (each event appears in exactly one sample) and
-/// attaches as above.
+/// Convenience overload over self-telemetry samples (a `.mtel`
+/// TelemetryArchiveReader's samples): concatenates the per-sample event
+/// tails (each event appears in exactly one sample) and attaches as above.
 void attach_provenance_events(std::vector<ProvenanceRecord>& records,
                               const std::vector<TelemetrySample>& samples);
 

@@ -324,9 +324,9 @@ std::string stat_tile(const std::string& value, const std::string& label) {
 
 /// Pure function of MonitorHealthData, which itself is a pure function of
 /// the recorded `.mtel` samples — so the section renders byte-identically
-/// from the live SelfMonitor or from a decoded archive. The cycle-duration
-/// values are wall-clock (non-deterministic across runs), but within one
-/// run both paths read the same recorded numbers.
+/// from the live SelfMonitor's health samples or from a decoded archive.
+/// The cycle-duration values are wall-clock (non-deterministic across
+/// runs), but within one run both paths read the same recorded numbers.
 std::string render_monitor_health(const MonitorHealthData& health,
                                   const ReportOptions& options) {
   std::string out;
@@ -348,26 +348,13 @@ std::string render_monitor_health(const MonitorHealthData& health,
   cycle.label = "cycle_duration_s";
   PlotSeries queue;
   queue.label = "queue_depth_peak";
-  const TelemetrySample* prev = nullptr;
-  for (const TelemetrySample& sample : health.samples) {
+  for (const HealthSample& sample : health.samples) {
     const sim::TimePoint t = sim::TimePoint::from_ms(sample.t_ms);
-    cycle.points.push_back(
-        {t, self_cycle_duration_s(prev, sample).value_or(0.0)});
-    queue.points.push_back(
-        {t, telemetry_series_value(sample.metrics, "mantra_pool_queue_depth_peak")
-                .value_or(0.0)});
-    prev = &sample;
+    cycle.points.push_back({t, sample.cycle_s});
+    queue.points.push_back({t, sample.queue_depth_peak});
   }
 
-  const MetricsSnapshot& last_metrics = health.samples.back().metrics;
-  std::uint64_t drops = 0;
-  if (const auto* c =
-          find_counter(last_metrics, "mantra_trace_spans_dropped_total")) {
-    drops += c->value;
-  }
-  if (const auto* c = find_counter(last_metrics, "mantra_events_dropped_total")) {
-    drops += c->value;
-  }
+  const std::uint64_t drops = health.samples.back().drops;
   std::size_t firing_now = 0;
   for (const AlertStatus& status : health.alert_states) {
     if (status.state == AlertState::firing) ++firing_now;
@@ -858,7 +845,7 @@ ReportData report_data_from(const Mantra& monitor) {
     data.health = MonitorHealthData{self->config().name, self->samples(),
                                     self->alerts().status(),
                                     self->alerts().history()};
-    attach_provenance_events(data.provenance, self->samples());
+    attach_provenance_events(data.provenance, self->events());
   }
   return data;
 }

@@ -56,9 +56,9 @@ struct ReportData {
   std::vector<AlertStatus> alert_states;
   /// One ProvenanceRecord per firing episode, capture order (parallel to
   /// the engine's history). Event tails are attached when a self-telemetry
-  /// stream is available (live SelfMonitor samples or a decoded `.mtel`);
-  /// both paths feed the same recorded events, so the drill-down renders
-  /// byte-identically live and from replay.
+  /// stream is available (the live SelfMonitor's events or a decoded
+  /// `.mtel`); both paths feed the same recorded events, so the drill-down
+  /// renders byte-identically live and from replay.
   std::vector<ProvenanceRecord> provenance;
   /// The "Monitor health" section input (core/teltrace): present when the
   /// monitor ran with self-telemetry, absent otherwise (the section is then
@@ -69,7 +69,8 @@ struct ReportData {
 };
 
 /// Snapshots a live monitor's recorded results and alert engine state —
-/// including the self-monitor's sample history when one is attached.
+/// including the self-monitor's health samples and events when one is
+/// attached.
 [[nodiscard]] ReportData report_data_from(const Mantra& monitor);
 
 /// Builds the same data from replayed result streams: sorts targets by

@@ -27,6 +27,9 @@ constexpr std::uint8_t kKindCounter = 0;
 constexpr std::uint8_t kKindGauge = 1;
 constexpr std::uint8_t kKindHistogram = 2;
 
+/// No position / no dictionary id.
+constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+
 std::uint64_t f64_bits(double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof bits);
@@ -105,24 +108,6 @@ const MetricsSnapshot::HistogramSample* find_histogram(
   return find_sample(snapshot.histograms, name, labels);
 }
 
-std::optional<double> self_cycle_duration_s(const TelemetrySample* prev,
-                                            const TelemetrySample& cur) {
-  const MetricsSnapshot::HistogramSample* current =
-      find_histogram(cur.metrics, "mantra_cycle_duration_seconds");
-  if (current == nullptr) return std::nullopt;
-  double sum = current->sum;
-  std::uint64_t count = current->count;
-  if (prev != nullptr) {
-    if (const MetricsSnapshot::HistogramSample* before =
-            find_histogram(prev->metrics, "mantra_cycle_duration_seconds")) {
-      sum -= before->sum;
-      count -= before->count;
-    }
-  }
-  if (count == 0) return std::nullopt;
-  return sum / static_cast<double>(count);
-}
-
 // --- .mtel writer ----------------------------------------------------------
 
 /// Per-metric codec state, shared by the writer and the reader: identity plus
@@ -165,13 +150,28 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
       log_.frames_written() %
           static_cast<std::size_t>(options_.keyframe_interval) ==
       0;
+  const MetricsSnapshot& metrics = sample.metrics;
 
-  // Intern every instance first so the dictionary (and therefore the value
-  // section's id order) is fixed before encoding begins.
+  // Resolve every instance's dictionary id in one pass, before encoding
+  // begins: new entries take ids in (kind, name, labels) order, and
+  // positions_ maps each id to its instance in this sample. The id the same
+  // position resolved to last time is the first guess; the key map is the
+  // fallback when a new or departed series shifted the position.
   std::vector<std::size_t> new_ids;
-  const auto intern = [&](std::uint8_t kind, const std::string& name,
-                          const std::string& labels,
-                          const std::vector<double>* bounds) {
+  positions_.assign(dict_.size(), kAbsent);
+  const auto resolve = [&](std::uint8_t kind, std::size_t position,
+                           const std::string& name, const std::string& labels,
+                           const std::vector<double>* bounds) {
+    std::vector<std::size_t>& guesses = position_ids_[kind];
+    if (position < guesses.size()) {
+      const DictEntry& guess = dict_[guesses[position]];
+      if (guess.name == name && guess.labels == labels) {
+        positions_[guesses[position]] = position;
+        return guesses[position];
+      }
+    } else {
+      guesses.push_back(kAbsent);
+    }
     std::string key;
     key.reserve(name.size() + labels.size() + 2);
     key.push_back(static_cast<char>('0' + kind));
@@ -189,21 +189,25 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
         entry.buckets.assign(bounds->size() + 1, 0);
       }
       dict_.push_back(std::move(entry));
+      positions_.push_back(kAbsent);
       new_ids.push_back(it->second);
     }
+    guesses[position] = it->second;
+    positions_[it->second] = position;
     return it->second;
   };
-
-  for (const MetricsSnapshot::CounterSample& counter : sample.metrics.counters) {
-    intern(kKindCounter, counter.name, counter.labels, nullptr);
+  for (std::size_t i = 0; i < metrics.counters.size(); ++i) {
+    resolve(kKindCounter, i, metrics.counters[i].name, metrics.counters[i].labels,
+            nullptr);
   }
-  for (const MetricsSnapshot::GaugeSample& gauge : sample.metrics.gauges) {
-    intern(kKindGauge, gauge.name, gauge.labels, nullptr);
+  for (std::size_t i = 0; i < metrics.gauges.size(); ++i) {
+    resolve(kKindGauge, i, metrics.gauges[i].name, metrics.gauges[i].labels,
+            nullptr);
   }
-  for (const MetricsSnapshot::HistogramSample& histogram :
-       sample.metrics.histograms) {
-    const std::size_t id = intern(kKindHistogram, histogram.name,
-                                  histogram.labels, &histogram.bounds);
+  for (std::size_t i = 0; i < metrics.histograms.size(); ++i) {
+    const MetricsSnapshot::HistogramSample& histogram = metrics.histograms[i];
+    const std::size_t id = resolve(kKindHistogram, i, histogram.name,
+                                   histogram.labels, &histogram.bounds);
     if (dict_[id].bounds != histogram.bounds ||
         histogram.buckets.size() != histogram.bounds.size() + 1) {
       throw std::runtime_error(
@@ -211,30 +215,12 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
           histogram.name);
     }
   }
+  position_ids_[kKindCounter].resize(metrics.counters.size());
+  position_ids_[kKindGauge].resize(metrics.gauges.size());
+  position_ids_[kKindHistogram].resize(metrics.histograms.size());
 
-  // Current-sample instance per dictionary id; ids absent from this sample
-  // (impossible with a MetricsRegistry, which never removes metrics, but
-  // legal for hand-built samples) re-encode their previous value.
-  std::vector<const MetricsSnapshot::CounterSample*> cur_counters(dict_.size(),
-                                                                  nullptr);
-  std::vector<const MetricsSnapshot::GaugeSample*> cur_gauges(dict_.size(),
-                                                              nullptr);
-  std::vector<const MetricsSnapshot::HistogramSample*> cur_histograms(
-      dict_.size(), nullptr);
-  for (const MetricsSnapshot::CounterSample& counter : sample.metrics.counters) {
-    cur_counters[intern(kKindCounter, counter.name, counter.labels, nullptr)] =
-        &counter;
-  }
-  for (const MetricsSnapshot::GaugeSample& gauge : sample.metrics.gauges) {
-    cur_gauges[intern(kKindGauge, gauge.name, gauge.labels, nullptr)] = &gauge;
-  }
-  for (const MetricsSnapshot::HistogramSample& histogram :
-       sample.metrics.histograms) {
-    cur_histograms[intern(kKindHistogram, histogram.name, histogram.labels,
-                          &histogram.bounds)] = &histogram;
-  }
-
-  std::string payload;
+  std::string& payload = payload_;
+  payload.clear();
   payload.push_back(
       static_cast<char>(keyframe ? kRecordKeyframe : kRecordDelta));
   put_svarint(payload, sample.t_ms);
@@ -274,19 +260,22 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
   }
   put_varint(payload, removals.size());
   for (const std::string* name : removals) put_string(payload, *name);
-  prev_help_ = sample.metrics.help;
+  if (!upserts.empty() || !removals.empty()) prev_help_ = sample.metrics.help;
 
-  // One value per dictionary id, in id order. Key-frames write absolute
-  // values; deltas write differences (counters/buckets as zigzag varints of
-  // the unsigned difference, doubles as varints of XORed IEEE-754 bits —
-  // both exactly invertible).
+  // One value per dictionary id, in id order; an id absent from this
+  // sample (impossible with a MetricsRegistry, which never removes metrics,
+  // but legal for hand-built samples) re-encodes its previous value.
+  // Key-frames write absolute values; deltas write differences
+  // (counters/buckets as zigzag varints of the unsigned difference, doubles
+  // as varints of XORed IEEE-754 bits — both exactly invertible).
   for (DictEntry& entry : dict_) {
-    const std::size_t id = static_cast<std::size_t>(&entry - dict_.data());
+    const std::size_t position =
+        positions_[static_cast<std::size_t>(&entry - dict_.data())];
+    const bool present = position != kAbsent;
     switch (entry.kind) {
       case kKindCounter: {
-        const std::uint64_t value = cur_counters[id] != nullptr
-                                        ? cur_counters[id]->value
-                                        : entry.counter;
+        const std::uint64_t value =
+            present ? metrics.counters[position].value : entry.counter;
         if (keyframe) {
           put_varint(payload, value);
         } else {
@@ -297,9 +286,8 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
         break;
       }
       case kKindGauge: {
-        const std::uint64_t bits = cur_gauges[id] != nullptr
-                                       ? f64_bits(cur_gauges[id]->value)
-                                       : entry.gauge_bits;
+        const std::uint64_t bits =
+            present ? f64_bits(metrics.gauges[position].value) : entry.gauge_bits;
         if (keyframe) {
           put_f64(payload, bits_f64(bits));
         } else {
@@ -309,7 +297,8 @@ void TelemetryArchiveWriter::append(const TelemetrySample& sample) {
         break;
       }
       case kKindHistogram: {
-        const MetricsSnapshot::HistogramSample* histogram = cur_histograms[id];
+        const MetricsSnapshot::HistogramSample* histogram =
+            present ? &metrics.histograms[position] : nullptr;
         for (std::size_t b = 0; b < entry.buckets.size(); ++b) {
           const std::uint64_t value =
               histogram != nullptr ? histogram->buckets[b] : entry.buckets[b];
@@ -689,6 +678,51 @@ QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
 
 // --- Self-monitoring -------------------------------------------------------
 
+namespace {
+
+/// Per-cycle mean of the `mantra_cycle_duration_seconds` histogram between
+/// two consecutive samples (prev null for the first) — with one
+/// observation per cycle this is the exact recorded duration, not a bucket
+/// estimate. 0 when the histogram is absent or no observation landed
+/// between the samples.
+double self_cycle_duration_s(const TelemetrySample* prev,
+                             const TelemetrySample& cur) {
+  const MetricsSnapshot::HistogramSample* current =
+      find_histogram(cur.metrics, "mantra_cycle_duration_seconds");
+  if (current == nullptr) return 0.0;
+  double sum = current->sum;
+  std::uint64_t count = current->count;
+  if (prev != nullptr) {
+    if (const MetricsSnapshot::HistogramSample* before =
+            find_histogram(prev->metrics, "mantra_cycle_duration_seconds")) {
+      sum -= before->sum;
+      count -= before->count;
+    }
+  }
+  return count == 0 ? 0.0 : sum / static_cast<double>(count);
+}
+
+/// The health figures of `cur`; `prev` is the sample before it (null for
+/// the first), which the per-cycle duration is measured against.
+HealthSample health_sample(const TelemetrySample* prev,
+                           const TelemetrySample& cur) {
+  HealthSample health;
+  health.t_ms = cur.t_ms;
+  health.cycle_s = self_cycle_duration_s(prev, cur);
+  health.queue_depth_peak =
+      telemetry_series_value(cur.metrics, "mantra_pool_queue_depth_peak")
+          .value_or(0.0);
+  for (const std::string_view name :
+       {"mantra_trace_spans_dropped_total", "mantra_events_dropped_total"}) {
+    if (const auto* counter = find_counter(cur.metrics, name)) {
+      health.drops += counter->value;
+    }
+  }
+  return health;
+}
+
+}  // namespace
+
 std::vector<SelfRule> default_self_rules() {
   std::vector<SelfRule> rules;
 
@@ -705,9 +739,7 @@ std::vector<SelfRule> default_self_rules() {
   cycle.rule.clear_threshold = 2.5;
   cycle.rule.for_cycles = 3;
   cycle.rule.clear_for_cycles = 6;
-  cycle.value = [](const TelemetrySample* prev, const TelemetrySample& cur) {
-    return self_cycle_duration_s(prev, cur).value_or(0.0);
-  };
+  cycle.value = self_cycle_duration_s;
   rules.push_back(std::move(cycle));
 
   // Collection fan-out is backing up: sustained per-cycle queue-depth peak
@@ -850,22 +882,23 @@ SelfMonitor::SelfMonitor(SelfMonitorConfig config, Telemetry* telemetry)
 }
 
 void SelfMonitor::sample(sim::TimePoint now) {
-  TelemetrySample sample;
+  // Last cycle's sample becomes `previous_`; this cycle's refills the
+  // buffer the one before it used.
+  std::swap(current_, previous_);
+  TelemetrySample& sample = current_;
   sample.t_ms = now.total_ms();
-  sample.metrics = telemetry_->metrics().snapshot();
+  telemetry_->metrics().snapshot_into(sample.metrics);
   sample.events = telemetry_->events().snapshot(next_event_seq_);
   if (!sample.events.empty()) next_event_seq_ = sample.events.back().seq + 1;
 
   if (writer_) writer_->append(sample);
-  samples_.push_back(std::move(sample));
 
-  const TelemetrySample* prev =
-      samples_.size() >= 2 ? &samples_[samples_.size() - 2] : nullptr;
+  const TelemetrySample* prev = health_.empty() ? nullptr : &previous_;
+  health_.push_back(health_sample(prev, sample));
+  events_.insert(events_.end(), sample.events.begin(), sample.events.end());
   std::vector<double> values;
   values.reserve(rules_.size());
-  for (const SelfRule& self : rules_) {
-    values.push_back(self.value(prev, samples_.back()));
-  }
+  for (const SelfRule& self : rules_) values.push_back(self.value(prev, sample));
   alerts_.observe_values(config_.name, now, values);
 }
 
@@ -876,13 +909,16 @@ void SelfMonitor::close() {
   }
 }
 
-MonitorHealthData monitor_health_from_samples(std::string name,
-                                              std::vector<TelemetrySample> samples,
-                                              const std::vector<SelfRule>& rules) {
+MonitorHealthData monitor_health_from_samples(
+    std::string name, const std::vector<TelemetrySample>& samples,
+    const std::vector<SelfRule>& rules) {
   AlertEngine engine(alert_rules_of(rules));
+  MonitorHealthData data;
+  data.samples.reserve(samples.size());
   std::vector<double> values(rules.size());
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const TelemetrySample* prev = i > 0 ? &samples[i - 1] : nullptr;
+    data.samples.push_back(health_sample(prev, samples[i]));
     for (std::size_t r = 0; r < rules.size(); ++r) {
       values[r] = rules[r].value(prev, samples[i]);
     }
@@ -890,9 +926,7 @@ MonitorHealthData monitor_health_from_samples(std::string name,
                           values);
   }
 
-  MonitorHealthData data;
   data.name = std::move(name);
-  data.samples = std::move(samples);
   data.alert_states = engine.status();
   data.alerts = engine.history();
   return data;

@@ -22,18 +22,22 @@
 //   * SelfMonitor — samples the live Telemetry once per cycle, appends to
 //     the `.mtel`, and evaluates a self-monitoring rule pack
 //     (cycle-duration p95, pool queue depth, capture failure rate, archive
-//     fsync latency, cache hit rate) through the existing AlertEngine —
-//     the monitor pages about itself with the same pending/firing/
-//     hysteresis machinery it uses for routers. monitor_health_from_samples
-//     re-derives the identical alert history from decoded samples, which is
-//     what makes the report's "Monitor health" section byte-identical
-//     between the live run and an `.mtel` replay.
+//     fsync latency) through the existing AlertEngine — the monitor pages
+//     about itself with the same pending/firing/hysteresis machinery it
+//     uses for routers. It keeps only this cycle's and the last cycle's
+//     full sample; the `.mtel` is the one full record, and in memory stay
+//     one HealthSample per cycle and the sampled events.
+//     monitor_health_from_samples re-derives the identical health samples
+//     and alert history from decoded samples, which is what makes the
+//     report's "Monitor health" section byte-identical between the live
+//     run and an `.mtel` replay.
 //
 // Everything here is read-only with respect to collection: sampling never
 // feeds back into capture, parsing, retry scheduling or `.marc` bytes, so
 // runs stay byte-identical with self-telemetry on or off.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -76,13 +80,6 @@ struct TelemetrySample {
     const MetricsSnapshot& snapshot, std::string_view name,
     std::string_view labels = "");
 
-/// Per-cycle mean of the `mantra_cycle_duration_seconds` histogram between
-/// two consecutive samples — with one observation per cycle this is the
-/// exact recorded duration, not a bucket estimate. nullopt when the
-/// histogram is absent or no observation landed between the samples.
-[[nodiscard]] std::optional<double> self_cycle_duration_s(
-    const TelemetrySample* prev, const TelemetrySample& cur);
-
 // --- .mtel archive ---------------------------------------------------------
 
 struct TelemetryArchiveOptions {
@@ -100,6 +97,11 @@ struct TelemetryArchiveOptions {
 /// upserts/removals, one value per dictionary id (absolute on key-frames,
 /// delta otherwise; doubles delta as XOR of raw bits so every value
 /// round-trips exactly), and the sample's events.
+///
+/// A registry's series set rarely changes between cycles, so an instance
+/// takes the dictionary id its position held in the previous append when
+/// that entry's name and labels match; only the instances a new or
+/// departed series shifted go through the key map.
 class TelemetryArchiveWriter {
  public:
   /// Creates/truncates `path`. Throws std::runtime_error if the file cannot
@@ -132,7 +134,13 @@ class TelemetryArchiveWriter {
   FramedLogWriter log_;
   std::vector<DictEntry> dict_;
   std::map<std::string, std::size_t> dict_index_;  ///< kind+name+labels -> id
+  /// Per kind (counter, gauge, histogram), the id each position of the
+  /// previous append resolved to: the first guess for the same position.
+  std::array<std::vector<std::size_t>, 3> position_ids_;
+  /// Per id, its position in this append's section of its kind (or none).
+  std::vector<std::size_t> positions_;
   std::map<std::string, std::string> prev_help_;
+  std::string payload_;  ///< record buffer, reused
 };
 
 /// Decodes an entire `.mtel` file at open (self-telemetry files are small —
@@ -257,6 +265,19 @@ struct SelfRule {
       value;
 };
 
+/// What the report's "Monitor health" section reads of one sample.
+struct HealthSample {
+  std::int64_t t_ms = 0;
+  /// Per-cycle mean of `mantra_cycle_duration_seconds` since the previous
+  /// sample (with one observation per cycle, the exact duration); 0 when
+  /// the histogram is absent or saw no observation.
+  double cycle_s = 0.0;
+  double queue_depth_peak = 0.0;  ///< mantra_pool_queue_depth_peak, 0 when absent
+  std::uint64_t drops = 0;  ///< trace-span plus event drop counters
+
+  friend bool operator==(const HealthSample&, const HealthSample&) = default;
+};
+
 /// The built-in pack — the monitor's own failure modes:
 ///   cycle_duration_p95    windowed p95 of per-cycle wall duration
 ///   pool_queue_depth      sustained mean of the per-cycle queue-depth peak
@@ -269,7 +290,8 @@ struct SelfMonitorConfig {
   /// The alert "target" name self-alerts carry ("monitor", or the shard
   /// name in a fleet).
   std::string name = "monitor";
-  /// `.mtel` output path; empty keeps samples in memory only.
+  /// `.mtel` output path; empty writes no archive, and the monitor keeps
+  /// only its health samples and the sampled events.
   std::string path;
   TelemetryArchiveOptions archive;
   /// Empty = default_self_rules().
@@ -284,6 +306,11 @@ struct SelfMonitorConfig {
 /// mirrored into the same Telemetry (alert_firing events,
 /// mantra_alert_state gauges), so the monitor's own trouble shows up in the
 /// next cycle's sample — the closed loop.
+///
+/// Full samples live in two reused buffers, this cycle's and the last
+/// cycle's (the self-rules read the pair). What stays in memory per sample
+/// is a HealthSample and the sample's events; the `.mtel` is the one full
+/// record (TelemetryArchiveReader reads it back).
 class SelfMonitor {
  public:
   /// Throws what TelemetryArchiveWriter throws when config.path is set.
@@ -294,8 +321,13 @@ class SelfMonitor {
   /// with seq beyond the previous sample's), appends it, evaluates rules.
   void sample(sim::TimePoint now);
 
-  [[nodiscard]] const std::vector<TelemetrySample>& samples() const {
-    return samples_;
+  /// One health sample per sample taken, oldest first.
+  [[nodiscard]] const std::vector<HealthSample>& samples() const {
+    return health_;
+  }
+  /// Every sampled event, in seq order: the samples' event tails joined.
+  [[nodiscard]] const std::vector<TelemetryEvent>& events() const {
+    return events_;
   }
   [[nodiscard]] const std::vector<SelfRule>& rules() const { return rules_; }
   [[nodiscard]] AlertEngine& alerts() { return alerts_; }
@@ -311,24 +343,28 @@ class SelfMonitor {
   std::vector<SelfRule> rules_;
   AlertEngine alerts_;
   std::unique_ptr<TelemetryArchiveWriter> writer_;
-  std::vector<TelemetrySample> samples_;
+  TelemetrySample current_;   ///< this cycle's sample, storage reused
+  TelemetrySample previous_;  ///< the last cycle's, the rules' `prev`
+  std::vector<HealthSample> health_;
+  std::vector<TelemetryEvent> events_;
   std::uint64_t next_event_seq_ = 0;  ///< first seq not yet sampled
 };
 
-/// Everything the report's "Monitor health" section renders: the sample
-/// history plus the self-alert evaluation derived from it.
+/// Everything the report's "Monitor health" section renders: the health
+/// samples plus the self-alert evaluation derived from them.
 struct MonitorHealthData {
   std::string name;
-  std::vector<TelemetrySample> samples;
+  std::vector<HealthSample> samples;
   std::vector<AlertStatus> alert_states;  ///< (rule, target) order
   std::vector<AlertRecord> alerts;        ///< firing episodes, open last
 };
 
-/// Re-derives the self-alert history from a sample stream — a pure function
-/// of the samples, so the live monitor and an `.mtel` replay produce
-/// identical MonitorHealthData (and byte-identical report sections).
+/// Re-derives the health samples and the self-alert history from a sample
+/// stream — a pure function of the samples, so the live monitor and an
+/// `.mtel` replay produce identical MonitorHealthData (and byte-identical
+/// report sections).
 [[nodiscard]] MonitorHealthData monitor_health_from_samples(
-    std::string name, std::vector<TelemetrySample> samples,
+    std::string name, const std::vector<TelemetrySample>& samples,
     const std::vector<SelfRule>& rules = default_self_rules());
 
 }  // namespace mantra::core
