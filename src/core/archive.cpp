@@ -339,7 +339,7 @@ ArchiveWriter::~ArchiveWriter() { close(); }
 void ArchiveWriter::append(const Snapshot& snapshot, const ArchiveCycleMeta& meta) {
   if (!self_derived_) self_derived_ = std::make_unique<SelfDerived>();
   SelfDerived& own = *self_derived_;
-  append(snapshot, own.previous, derive_cycle(snapshot, meta, own.carry));
+  append(snapshot, own.previous, derive_cycle(snapshot, own.previous, meta, own.carry));
   copy_raw_tables(snapshot, own.previous);
 }
 

@@ -76,9 +76,9 @@ class ArchiveWriter {
   /// Appends one monitoring cycle from its tables and collection facts
   /// alone: the writer runs derive_cycle itself, with the default
   /// processing configuration and a carry that has seen every cycle this
-  /// writer appended this way, and keeps its own copy of the last
-  /// appended tables as the delta base. Do not mix this form with the
-  /// one above on one writer.
+  /// writer appended this way, and keeps one copy of the last appended
+  /// tables, both the delta base and the derivation's previous snapshot.
+  /// Do not mix this form with the one above on one writer.
   void append(const Snapshot& snapshot, const ArchiveCycleMeta& meta = {});
 
   /// Flushes buffered data to the OS and (on POSIX) to stable storage.
@@ -118,7 +118,8 @@ class ArchiveWriter {
     bool operator==(const RecordShape&) const = default;
   };
   /// The meta-only append's own state: its derivation carry and its copy
-  /// of the last appended tables.
+  /// of the last appended tables (the carry's route monitor diffs against
+  /// it too).
   struct SelfDerived {
     CycleCarry carry;
     Snapshot previous;

@@ -330,22 +330,26 @@ void Collector::record_capture_telemetry(const RawCapture& capture,
   }
 }
 
-const CaptureReport& Collector::capture(const router::MulticastRouter& router,
-                                        sim::TimePoint now) {
-  do_capture(router, now);
+void Collector::capture(const router::MulticastRouter& router, sim::TimePoint now,
+                        CaptureReport& into) {
+  do_capture(router, now, into);
   // Standalone collectors (no monitor attached via set_stage) flush here so
   // their spans/events still reach the sinks; cycle_seq 0 marks "no cycle".
   if (stage_ == &own_stage_ && telemetry_->enabled()) {
     own_stage_.flush(0, telemetry_target_, telemetry_->tracer().thread_id());
   }
+}
+
+const CaptureReport& Collector::capture(const router::MulticastRouter& router,
+                                        sim::TimePoint now) {
+  capture(router, now, report_);
   return report_;
 }
 
-void Collector::do_capture(const router::MulticastRouter& router,
-                           sim::TimePoint now) {
-  // Reset the reused report in place: slots (and their transcript buffers)
-  // from the previous cycle keep their capacity.
-  CaptureReport& report = report_;
+void Collector::do_capture(const router::MulticastRouter& router, sim::TimePoint now,
+                           CaptureReport& report) {
+  // Reset the report in place: slots (and their transcript buffers) from
+  // the previous capture keep their capacity.
   report.connected = false;
   report.attempts = 0;
   report.latency = sim::Duration();

@@ -145,15 +145,22 @@ class Collector {
 
   /// Runs the full command set against one router over one transport
   /// session, retrying per the policy, capturing and preprocessing each
-  /// output. Never throws on collection failure — failures are statuses.
+  /// output into `into`. Never throws on collection failure — failures are
+  /// statuses.
   ///
-  /// Returns a reference to collector-owned storage that is overwritten by
-  /// the next capture() call: the report, its RawCapture slots, and their
-  /// transcript buffers are all reused across cycles, so a warmed-up
-  /// collector performs no per-cycle allocation on the capture path. Copy
-  /// the report (or the captures you need) to keep data across cycles.
-  [[nodiscard]] const CaptureReport& capture(
-      const router::MulticastRouter& router, sim::TimePoint now);
+  /// `into`'s slots are reset in place, slot i always for command i, so
+  /// each slot's transcript buffers keep the capacity of that command's
+  /// largest capture; a warmed-up report costs no allocation. The storage
+  /// belongs to the caller, who may share one report among collectors with
+  /// the same command set (core/mantra keeps one per pool worker).
+  void capture(const router::MulticastRouter& router, sim::TimePoint now,
+               CaptureReport& into);
+
+  /// As above, into collector-owned storage that the next capture()
+  /// overwrites. Copy the report (or the captures you need) to keep data
+  /// across cycles.
+  [[nodiscard]] const CaptureReport& capture(const router::MulticastRouter& router,
+                                             sim::TimePoint now);
 
   /// Attaches a telemetry sink (forwarded to the owned transport) and the
   /// target label stamped on every metric/span/event this collector
@@ -178,7 +185,8 @@ class Collector {
  private:
   /// The collection pass proper; capture() wraps it so the span scopes are
   /// closed before a standalone collector auto-flushes its own stage.
-  void do_capture(const router::MulticastRouter& router, sim::TimePoint now);
+  void do_capture(const router::MulticastRouter& router, sim::TimePoint now,
+                  CaptureReport& report);
   /// Records one settled capture of `commands_[index]`.
   void record_capture_telemetry(const RawCapture& capture, std::size_t index,
                                 sim::TimePoint now, sim::Duration backoff_total);
@@ -203,7 +211,7 @@ class Collector {
   Handles handles_;
   TelemetryStage own_stage_;          ///< default staging sink (auto-flushed)
   TelemetryStage* stage_ = &own_stage_;
-  CaptureReport report_;     ///< reused result storage (see capture())
+  CaptureReport report_;  ///< the two-argument capture()'s storage
   /// Reused per-operation outcome. Command transcripts render into their
   /// slot's own `raw_text` (lent for each attempt); `op_.text` is the spare
   /// connect_into fills.

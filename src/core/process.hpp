@@ -188,6 +188,19 @@ class RouteMonitor {
     std::size_t changes = 0;    ///< upserts + removals vs previous cycle
   };
 
+  /// Records one cycle's route table against `previous`, the table this
+  /// monitor observed last (an empty table before the first): one merge
+  /// walk counts the changes, carries first-seen times forward and
+  /// completes the lifetimes of removed routes. The monitor keeps no copy
+  /// of a table. Throws std::logic_error, recording nothing, when
+  /// `previous` does not have the last observed table's row count.
+  void observe(sim::TimePoint t, const RouteTable& previous, const RouteTable& routes);
+
+  /// Adapter for callers that keep no previous table: observes against the
+  /// monitor's own copy of the last table, then replaces that copy. Only
+  /// perfbench's traced mirror, bench/pipeline_micro and tests call it; it
+  /// goes with the mirror (ROADMAP item 2, step 2). Do not mix the two
+  /// forms on one monitor.
   void observe(sim::TimePoint t, const RouteTable& routes);
 
   [[nodiscard]] const std::vector<CycleStats>& history() const { return history_; }
@@ -205,9 +218,9 @@ class RouteMonitor {
 
  private:
   std::vector<CycleStats> history_;
-  RouteTable previous_;
-  bool have_previous_ = false;
-  /// First-seen time of each route in `previous_`, index-aligned with it.
+  RouteTable own_previous_;  ///< the adapter's copy; empty unless it ran
+  /// First-seen time of each route in the last observed table,
+  /// index-aligned with it.
   std::vector<sim::TimePoint> first_seen_;
   std::vector<sim::TimePoint> next_first_seen_;  ///< reused merge output
   std::vector<double> completed_lifetimes_s_;
@@ -294,7 +307,13 @@ struct CycleCarry {
 /// the spike detector, and returns the cycle's result with the collection
 /// facts of `meta`. The live cycle and the archive writer are its callers;
 /// the archive stores the answer, so no offline reader derives it again.
-[[nodiscard]] CycleResult derive_cycle(const Snapshot& snapshot,
+///
+/// `previous` is the snapshot this carry derived last (any snapshot with
+/// no routes before the first): the route monitor diffs against its route
+/// table and keeps no copy. The monitor's last CycleStats names that table
+/// by time and row count; a `previous` that disagrees throws
+/// std::logic_error, and nothing is recorded.
+[[nodiscard]] CycleResult derive_cycle(const Snapshot& snapshot, const Snapshot& previous,
                                        const ArchiveCycleMeta& meta, CycleCarry& carry);
 
 }  // namespace mantra::core

@@ -164,11 +164,12 @@ void FaultInjectingTransport::execute_into(const router::MulticastRouter& router
   } else if (garbled) {
     ++faults_;
     out.status = TransportStatus::garbled;
-    garble_buffer_.clear();
-    garble_into(out.text, garble_buffer_);
-    // Copy back, don't swap: `out.text` is the caller's buffer for this
-    // command, and a swap would hand it another command's capacity.
-    out.text.assign(garble_buffer_);
+    // A buffer of this path's own: garbling hits few commands, so the
+    // transport keeps no transcript-sized buffer between them. The garbled
+    // copy, sized by this command's transcript, replaces the caller's.
+    std::string garbled_text;
+    garble_into(out.text, garbled_text);
+    out.text = std::move(garbled_text);
     record_fault(Fault::garbled);
   } else if (slow) {
     // The dump itself is intact; it just arrives past any sane deadline.

@@ -206,7 +206,7 @@ class FaultInjectingTransport : public Transport {
  private:
   void truncate_in_place(std::string& text);
   /// Appends a garbled copy of `text` to `out` (same bytes as the old
-  /// string-returning form, built into a reused buffer).
+  /// string-returning form).
   void garble_into(std::string_view text, std::string& out);
 
   sim::Rng rng_;
@@ -214,7 +214,6 @@ class FaultInjectingTransport : public Transport {
   bool connected_ = false;
   std::uint64_t faults_ = 0;
   std::uint64_t operations_ = 0;
-  std::string garble_buffer_;  ///< reused scratch for the garble fault path
 };
 
 }  // namespace mantra::core

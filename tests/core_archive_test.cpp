@@ -475,7 +475,9 @@ TEST(Archive, DeltaAgainstAnyButTheLastAppendedSnapshotThrows) {
   CycleCarry carry;
   std::vector<CycleResult> results;
   for (int i = 0; i < 4; ++i) {
-    results.push_back(derive_cycle(history[static_cast<std::size_t>(i)], meta_for(i), carry));
+    const Snapshot& previous = i == 0 ? Snapshot{} : history[static_cast<std::size_t>(i - 1)];
+    results.push_back(
+        derive_cycle(history[static_cast<std::size_t>(i)], previous, meta_for(i), carry));
   }
   ArchiveOptions options;
   options.fsync_on_keyframe = false;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -65,6 +66,58 @@ TEST(ThreadPool, SingleTaskRunsInlineEvenWithPool) {
   tasks.emplace_back([&ran] { ran = true; });
   parallel::run_all(&pool, std::move(tasks));
   EXPECT_TRUE(ran);
+}
+
+TEST(ThreadPool, WorkerIndexNamesTheWorkerOnItsOwnPoolOnly) {
+  parallel::ThreadPool pool(4);
+  parallel::ThreadPool other(2);
+  EXPECT_EQ(pool.worker_index(), pool.size());  // not a worker thread
+  std::vector<std::size_t> own(64, pool.size());
+  std::vector<std::size_t> foreign(64, 0);
+  std::vector<std::function<void()>> tasks;
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    tasks.emplace_back([&, i] {
+      own[i] = pool.worker_index();
+      foreign[i] = other.worker_index();
+    });
+  }
+  parallel::run_all(&pool, std::move(tasks));
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    EXPECT_LT(own[i], pool.size()) << "task " << i;
+    EXPECT_EQ(foreign[i], other.size()) << "task " << i;
+  }
+}
+
+TEST(ThreadPool, RunAllReturnsOnlyAfterEveryTaskIsAccounted) {
+  // The join is released after the worker has observed the task's run time
+  // and taken itself off the busy gauge, so a post-join read sees the whole
+  // batch.
+  TelemetryConfig config;
+  config.enabled = true;
+  Telemetry telemetry(config);
+  parallel::ThreadPool pool(4);
+  pool.set_telemetry(&telemetry);
+  std::atomic<std::uint64_t> sink{0};
+  std::uint64_t tasks_run = 0;
+  for (int batch = 0; batch < 200; ++batch) {
+    std::vector<std::function<void()>> tasks;
+    const int count = 2 + batch % 7;
+    for (int i = 0; i < count; ++i) {
+      tasks.emplace_back([&sink, i] {
+        std::uint64_t x = static_cast<std::uint64_t>(i) + 1;
+        for (int k = 0; k < 2000; ++k) x = x * 6364136223846793005ULL + 1;
+        sink.fetch_add(x, std::memory_order_relaxed);
+      });
+    }
+    parallel::run_all(&pool, std::move(tasks));
+    tasks_run += static_cast<std::uint64_t>(count);
+    const MetricsRegistry& metrics = telemetry.metrics();
+    const Histogram* run = metrics.find_histogram("mantra_pool_task_run_seconds", {});
+    ASSERT_NE(run, nullptr);
+    EXPECT_EQ(run->count(), tasks_run) << "batch " << batch;
+    EXPECT_EQ(telemetry.metrics().gauge("mantra_pool_busy_workers").value(), 0.0)
+        << "batch " << batch;
+  }
 }
 
 // --- per-target seed streams -------------------------------------------------

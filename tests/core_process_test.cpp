@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -198,6 +199,10 @@ TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
   for (std::uint32_t i = 0; i < 400; i += 2) live[i] = route(i);
   RouteMonitor monitor;
   MapRouteMonitor reference;
+  // The same walk with the previous table held by the caller, as the live
+  // cycle holds it in its latest snapshot.
+  RouteMonitor by_previous;
+  RouteTable previous;
   RouteTable table;
   for (int step = 0; step < 80; ++step) {
     if (step == 40) {
@@ -227,6 +232,8 @@ TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
     const sim::TimePoint t = sim::TimePoint::start() + sim::Duration::minutes(15) * std::int64_t{step};
     monitor.observe(t, table);
     reference.observe(t, table);
+    by_previous.observe(t, previous, table);
+    previous = table;
 
     ASSERT_EQ(monitor.history().size(), reference.history_.size());
     const RouteMonitor::CycleStats& got = monitor.history().back();
@@ -238,9 +245,56 @@ TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
     EXPECT_EQ(monitor.total_changes(), reference.total_changes_) << "step " << step;
     ASSERT_EQ(monitor.completed_lifetimes_s(), reference.completed_lifetimes_s_)
         << "step " << step;
+    const RouteMonitor::CycleStats& held = by_previous.history().back();
+    EXPECT_EQ(held.total, got.total) << "step " << step;
+    EXPECT_EQ(held.valid, got.valid) << "step " << step;
+    EXPECT_EQ(held.changes, got.changes) << "step " << step;
+    ASSERT_EQ(by_previous.completed_lifetimes_s(), monitor.completed_lifetimes_s())
+        << "step " << step;
   }
   EXPECT_GT(monitor.completed_route_count(), 200u);
   EXPECT_EQ(monitor.history()[40].total, 0u);
+}
+
+TEST(RouteMonitor, APreviousTableOfAnotherSizeThrowsAndRecordsNothing) {
+  RouteMonitor monitor;
+  RouteTable table;
+  table.upsert(route(1));
+  EXPECT_THROW(monitor.observe(sim::TimePoint::start(), table, table), std::logic_error);
+  EXPECT_TRUE(monitor.history().empty());
+  monitor.observe(sim::TimePoint::start(), RouteTable{}, table);
+  EXPECT_THROW(monitor.observe(sim::TimePoint::start(), RouteTable{}, table), std::logic_error);
+  EXPECT_EQ(monitor.history().size(), 1u);
+}
+
+TEST(DeriveCycle, APreviousSnapshotOtherThanTheLastDerivedThrowsAndRecordsNothing) {
+  // derive_cycle diffs routes against the caller's `previous` and checks it
+  // against the route monitor's last CycleStats (time and row count).
+  std::vector<Snapshot> cycles(3);
+  for (std::size_t i = 0; i < cycles.size(); ++i) {
+    cycles[i].captured =
+        sim::TimePoint::start() + sim::Duration::minutes(15) * static_cast<std::int64_t>(i);
+    for (std::uint32_t r = 0; r < 4 + i; ++r) cycles[i].routes.upsert(route(r));
+  }
+  CycleCarry carry;
+  // Before the first cycle, only a snapshot without routes is the previous.
+  EXPECT_THROW((void)derive_cycle(cycles[0], cycles[1], {}, carry), std::logic_error);
+  EXPECT_TRUE(carry.route_monitor.history().empty());
+  (void)derive_cycle(cycles[0], Snapshot{}, {}, carry);
+  (void)derive_cycle(cycles[1], cycles[0], {}, carry);
+
+  // One cycle too old, the right time with a row too many, and the
+  // snapshot being derived itself.
+  Snapshot padded = cycles[1];
+  padded.routes.upsert(route(99));
+  for (const Snapshot* wrong : {&cycles[0], &padded, &cycles[2]}) {
+    EXPECT_THROW((void)derive_cycle(cycles[2], *wrong, {}, carry), std::logic_error);
+    EXPECT_EQ(carry.route_monitor.history().size(), 2u);
+    EXPECT_EQ(carry.spike_detector.samples_seen(), 2u);
+  }
+  const CycleResult result = derive_cycle(cycles[2], cycles[1], {}, carry);
+  EXPECT_EQ(result.dvmrp_routes, 6u);
+  EXPECT_EQ(result.route_changes, 1u);
 }
 
 TEST(CompareRouteTables, ConsistencyStats) {

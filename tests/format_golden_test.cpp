@@ -508,10 +508,14 @@ TEST(FormatGolden, StoredValuesRederiveFromTheGoldenTables) {
   EXPECT_GT(compacted.result_at(0).route_changes, 0u);
   // A carry that saw the dropped cycles reproduces every field.
   CycleCarry warmed;
+  Snapshot last_dropped;
   raw.for_each([&](std::size_t i, const Snapshot& tables, const ArchiveCycleMeta& meta) {
-    if (i < 2) (void)derive_cycle(tables, meta, warmed);
+    if (i >= 2) return;
+    (void)derive_cycle(tables, last_dropped, meta, warmed);
+    last_dropped = tables;
   });
-  EXPECT_EQ(rederive::describe_differences(compacted, rederive::results_of(compacted, warmed)),
+  EXPECT_EQ(rederive::describe_differences(
+                compacted, rederive::results_of(compacted, warmed, last_dropped)),
             "");
 }
 

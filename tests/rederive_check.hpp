@@ -14,11 +14,15 @@
 namespace mantra::core::rederive {
 
 /// derive_cycle over every record's decoded tables and collection facts, in
-/// archive order, continuing from `carry` (a fresh one by default).
-inline std::vector<CycleResult> results_of(const ArchiveReader& reader, CycleCarry carry = {}) {
+/// archive order, continuing from `carry` (a fresh one by default) and
+/// `previous`, the tables that carry derived last (none by default). Each
+/// record is derived against the previously decoded one.
+inline std::vector<CycleResult> results_of(const ArchiveReader& reader, CycleCarry carry = {},
+                                           Snapshot previous = {}) {
   std::vector<CycleResult> results;
   reader.for_each([&](std::size_t, const Snapshot& tables, const ArchiveCycleMeta& meta) {
-    results.push_back(derive_cycle(tables, meta, carry));
+    results.push_back(derive_cycle(tables, previous, meta, carry));
+    previous = tables;
   });
   return results;
 }
