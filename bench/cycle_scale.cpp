@@ -2,6 +2,9 @@
 // scenario, 10-200 monitored targets, the same cycles run sequentially
 // (worker_threads = 0) and on a worker pool (worker_threads = hardware),
 // with an equivalence check that both paths produced identical results.
+// For each path it also records the heap the monitor holds per target
+// after its cycles: glibc's in-use bytes (mallinfo2) after the last cycle,
+// less those before the monitor was built, over the target count.
 //
 // Emits BENCH_cycle_scale.json (one record per target count) at the repo
 // root (MANTRA_REPO_ROOT baked in at configure time) so the artifact path
@@ -24,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <malloc.h>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,15 +64,28 @@ struct Measurement {
   int targets = 0;
   double sequential_ms = 0.0;
   double parallel_ms = 0.0;
+  double sequential_held_kb_per_target = 0.0;
+  double parallel_held_kb_per_target = 0.0;
   bool identical = false;
 };
 
+/// What one path's run measured.
+struct PathRun {
+  double ms = 0.0;                 ///< wall time of the timed cycles
+  double held_kb_per_target = 0.0; ///< heap the monitor holds, per target
+};
+
+/// Bytes glibc's allocator has handed out and not had back.
+double heap_in_use_bytes() { return static_cast<double>(mallinfo2().uordblks); }
+
 /// Wall-clock for `cycles` full monitoring cycles over the first `targets`
 /// routers, at the scenario's current instant (the engine clock is not
-/// advanced, so every variant sees identical router state).
-double time_cycles(workload::FixwScenario& scenario, std::size_t worker_threads,
-                   int targets, int cycles, int warmup_cycles,
-                   std::vector<std::vector<core::CycleResult>>* results_out) {
+/// advanced, so every variant sees identical router state), and the heap
+/// the monitor holds per target after them.
+PathRun time_cycles(workload::FixwScenario& scenario, std::size_t worker_threads,
+                    int targets, int cycles, int warmup_cycles,
+                    std::vector<std::vector<core::CycleResult>>* results_out) {
+  const double heap_before = heap_in_use_bytes();
   core::MantraConfig config;
   config.cycle = sim::Duration::minutes(30);
   config.worker_threads = worker_threads;
@@ -88,13 +105,17 @@ double time_cycles(workload::FixwScenario& scenario, std::size_t worker_threads,
   for (int cycle = 0; cycle < cycles; ++cycle) monitor.run_cycle_now();
   const auto stop = std::chrono::steady_clock::now();
 
+  PathRun run;
+  run.ms = std::chrono::duration<double, std::milli>(stop - start).count();
+  run.held_kb_per_target = (heap_in_use_bytes() - heap_before) / 1024.0 /
+                           static_cast<double>(monitor.target_count());
   if (results_out != nullptr) {
     results_out->clear();
     for (const std::string& name : monitor.target_names()) {
       results_out->push_back(monitor.target_view(name).results());
     }
   }
-  return std::chrono::duration<double, std::milli>(stop - start).count();
+  return run;
 }
 
 }  // namespace
@@ -136,16 +157,19 @@ int main() {
     m.targets = targets;
     std::vector<std::vector<core::CycleResult>> seq_results;
     std::vector<std::vector<core::CycleResult>> par_results;
-    m.sequential_ms =
-        time_cycles(scenario, 0, targets, cycles, warmup, &seq_results);
-    m.parallel_ms =
-        time_cycles(scenario, threads, targets, cycles, warmup, &par_results);
+    const PathRun sequential = time_cycles(scenario, 0, targets, cycles, warmup, &seq_results);
+    const PathRun parallel = time_cycles(scenario, threads, targets, cycles, warmup, &par_results);
+    m.sequential_ms = sequential.ms;
+    m.parallel_ms = parallel.ms;
+    m.sequential_held_kb_per_target = sequential.held_kb_per_target;
+    m.parallel_held_kb_per_target = parallel.held_kb_per_target;
     m.identical = seq_results == par_results;
     std::fprintf(stderr,
                  "targets=%3d  sequential=%9.2f ms  parallel=%9.2f ms  "
-                 "speedup=%.2fx  identical=%s\n",
+                 "speedup=%.2fx  held/target=%.1f/%.1f KB  identical=%s\n",
                  m.targets, m.sequential_ms, m.parallel_ms,
                  m.parallel_ms > 0.0 ? m.sequential_ms / m.parallel_ms : 0.0,
+                 m.sequential_held_kb_per_target, m.parallel_held_kb_per_target,
                  m.identical ? "yes" : "NO");
     measurements.push_back(m);
   }
@@ -164,13 +188,16 @@ int main() {
   for (std::size_t i = 0; i < measurements.size(); ++i) {
     const Measurement& m = measurements[i];
     all_identical = all_identical && m.identical;
-    char line[256];
+    char line[384];
     std::snprintf(line, sizeof line,
                   "    {\"targets\": %d, \"sequential_ms\": %.3f, "
                   "\"parallel_ms\": %.3f, \"speedup\": %.3f, "
+                  "\"sequential_held_kb_per_target\": %.1f, "
+                  "\"parallel_held_kb_per_target\": %.1f, "
                   "\"identical\": %s}%s\n",
                   m.targets, m.sequential_ms, m.parallel_ms,
                   m.parallel_ms > 0.0 ? m.sequential_ms / m.parallel_ms : 0.0,
+                  m.sequential_held_kb_per_target, m.parallel_held_kb_per_target,
                   m.identical ? "true" : "false",
                   i + 1 < measurements.size() ? "," : "");
     json << line;

@@ -60,9 +60,11 @@ std::uint64_t fnv1a(std::string_view bytes) {
   return hash;
 }
 
-/// Values that depend on thread scheduling: the pool's queue-depth and
-/// busy-worker gauges, and the run-time histogram's count, which a worker
-/// observes after its task has already released the cycle's join.
+/// Values that depend on thread scheduling: the pool's queue-depth gauges.
+/// The busy-worker gauge and the run-time histogram's count did too while a
+/// worker observed them after its task had released the cycle's join; the
+/// join now waits for that accounting, but they stay excluded so the
+/// constants stay as generated.
 bool scheduling_dependent(std::string_view name) {
   return name == "mantra_pool_queue_depth" ||
          name == "mantra_pool_queue_depth_peak" ||
