@@ -64,16 +64,6 @@ void MantraConfig::validate() const {
 Mantra::Mantra(sim::Engine& engine, MantraConfig config)
     : Mantra(engine, std::move(config), TransportFactory{}) {}
 
-Mantra::Mantra(sim::Engine& engine, MantraConfig config,
-               std::unique_ptr<Transport> transport)
-    : Mantra(engine, std::move(config),
-             // Legacy single-transport form: hand the transport to the
-             // first target added; later targets default to CliTransport.
-             [held = std::make_shared<std::unique_ptr<Transport>>(
-                  std::move(transport))](const std::string&) {
-               return std::move(*held);
-             }) {}
-
 Mantra::Mantra(sim::Engine& engine, MantraConfig config, TransportFactory factory)
     : engine_(engine),
       config_((config.validate(), std::move(config))),
@@ -98,6 +88,11 @@ Mantra::Mantra(sim::Engine& engine, MantraConfig config, TransportFactory factor
 }
 
 void Mantra::add_target(const router::MulticastRouter* target) {
+  // A second state of one name would reopen the target's `.marc` with "wb"
+  // and then replace the first, losing its results and its archive.
+  if (targets_.contains(target->hostname())) {
+    throw std::invalid_argument("Mantra: duplicate target " + target->hostname());
+  }
   auto state = std::make_unique<TargetState>(config_);
   state->router = target;
   state->name = target->hostname();

@@ -201,14 +201,11 @@ class Mantra {
   /// As above with a per-target transport factory (e.g. one
   /// FaultInjectingTransport per target, each with its own seed/profile).
   Mantra(sim::Engine& engine, MantraConfig config, TransportFactory factory);
-  /// Legacy single-transport form: the explicit transport (e.g. a
-  /// FaultInjectingTransport) goes to the *first* target added; any further
-  /// targets fall back to the default CliTransport. Prefer the
-  /// TransportFactory constructor for multi-target fault injection.
-  Mantra(sim::Engine& engine, MantraConfig config,
-         std::unique_ptr<Transport> transport);
 
   /// Registers a router to monitor. The pointer must outlive the monitor.
+  /// Throws std::invalid_argument if a target of the same hostname is
+  /// already monitored, before anything is built or opened: its collector
+  /// and its `.marc` stay as they were.
   void add_target(const router::MulticastRouter* target);
 
   /// Starts the periodic monitoring cycle.

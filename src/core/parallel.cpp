@@ -69,8 +69,6 @@ std::size_t ThreadPool::take_queue_peak() {
   return std::exchange(queue_peak_, std::size_t{0});
 }
 
-void ThreadPool::submit(std::function<void()> task) { enqueue(std::move(task), nullptr); }
-
 void ThreadPool::enqueue(std::function<void()> task, Batch* batch) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -142,10 +140,8 @@ void ThreadPool::worker_loop(std::size_t index) {
     // may its run_all return. Notify under the lock: the waiter destroys
     // the batch as soon as it sees 0.
     entry.fn = nullptr;
-    if (entry.batch != nullptr) {
-      std::lock_guard<std::mutex> lock(entry.batch->mutex);
-      if (--entry.batch->remaining == 0) entry.batch->done.notify_one();
-    }
+    std::lock_guard<std::mutex> lock(entry.batch->mutex);
+    if (--entry.batch->remaining == 0) entry.batch->done.notify_one();
   }
 }
 

@@ -2,9 +2,9 @@
 // out across threads (core/mantra's parallel collection cycle, §V's
 // concurrent multi-router collection).
 //
-// The pool is deliberately small: submit() enqueues a task, run_all() is
-// the structured-join primitive the monitoring cycle uses — it runs a batch
-// to completion (on the pool when one is given, inline otherwise) and only
+// The pool is deliberately small: its one entry point, run_all(), is the
+// structured-join primitive the monitoring cycle uses — it runs a batch to
+// completion (on the pool when one is given, inline otherwise) and only
 // then returns, so callers keep the simulator's deterministic
 // run-to-completion semantics. Tasks must not touch shared mutable state;
 // the pool provides no synchronisation beyond the final join. A task may
@@ -50,10 +50,6 @@ class ThreadPool {
   /// detach.
   void set_telemetry(Telemetry* telemetry);
 
-  /// Enqueues one task. Thread-safe. The task must not throw out of the
-  /// pool — use run_all() for exception-propagating batches.
-  void submit(std::function<void()> task);
-
   /// The deepest the queue has been since the last call (then resets to 0).
   /// The instantaneous `mantra_pool_queue_depth` gauge is almost always 0
   /// when read between cycles (the cycle joins before returning); the peak
@@ -74,10 +70,10 @@ class ThreadPool {
   struct Entry {
     std::function<void()> fn;
     Batch* batch = nullptr;        ///< released after the task's accounting
-    std::int64_t enqueued_us = 0;  ///< tracer wall clock at submit (0 = off)
+    std::int64_t enqueued_us = 0;  ///< tracer wall clock at enqueue (0 = off)
   };
   /// Metric handles, shared by the workers and so read and filled only
-  /// under `mutex_`: the submit-side ones on the first submit, the
+  /// under `mutex_`: the enqueue-side ones on the first enqueue, the
   /// worker-side ones on the first dequeue. A worker copies them out with
   /// its task.
   struct Handles {

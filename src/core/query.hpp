@@ -95,8 +95,8 @@ inline constexpr std::int64_t kDayMs = 86'400'000;
 // --- Rollup sidecar --------------------------------------------------------
 
 /// One value's aggregate over one bucket, shared by the `.mroll` rollups and
-/// by the raw scans (`.marc` and `.mtel`) that must reproduce them bit for
-/// bit. The value count lives on the bucket.
+/// by the raw `.marc` scan, which must reproduce them bit for bit. The value
+/// count lives on the bucket.
 struct MetricRollup {
   double min = 0.0;
   double max = 0.0;
@@ -274,16 +274,16 @@ struct QueryPoint {
 struct QueryResult {
   std::vector<QueryPoint> points;
   bool from_rollup = false;        ///< answered from the `.mroll` sidecar
-  /// Archive records decoded by this query: 0 for every `.marc` query,
-  /// which reads only the reader's index (a `.mtel` scan counts samples).
+  /// Archive records decoded by this query: 0, since every query reads
+  /// only the reader's index.
   std::uint64_t records_decoded = 0;
   std::uint64_t rollup_buckets = 0;    ///< sidecar buckets consulted
 };
 
-/// A query's time range in milliseconds. At hour/day resolution it snaps
-/// outward to whole buckets: every bucket intersecting [from, to] counts
-/// all of its records, so rollup-served and raw-scanned answers agree by
-/// construction. Empty when from > to.
+/// A `.marc` query's time range in milliseconds. At hour/day resolution it
+/// snaps outward to whole buckets: every bucket intersecting [from, to]
+/// counts all of its records, so rollup-served and raw-scanned answers
+/// agree by construction. Empty when from > to.
 struct QueryWindow {
   std::int64_t from_ms = 0;
   std::int64_t to_ms = 0;
@@ -292,10 +292,11 @@ struct QueryWindow {
 [[nodiscard]] QueryWindow query_window(sim::TimePoint from, sim::TimePoint to,
                                        QueryResolution resolution);
 
-/// The raw-scan side of a query: takes (time, value) in time order and emits
-/// one point per record at raw resolution, or one aggregated point per
-/// bucket, folded with the same MetricRollup arithmetic the rollup builders
-/// use.
+/// The raw-scan side of a `.marc` query: takes (time, value) in time order
+/// and emits one point per record at raw resolution, or one aggregated point
+/// per bucket, folded with the same MetricRollup arithmetic the rollup
+/// builders use. QueryEngine is its one caller in src/; it and query_window
+/// are public for the full-decode scan oracle in tests/oracle/.
 class PointFolder {
  public:
   PointFolder(const QueryWindow& window, QueryAggregate aggregate,

@@ -680,51 +680,6 @@ std::vector<std::string> prometheus_lint(std::string_view exposition) {
   return errors;
 }
 
-std::string MetricsRegistry::json_dump() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::string out = "{\n  \"counters\": [";
-  char buffer[96];
-  bool first = true;
-  for (const auto& [name, family] : counters_) {
-    for (const auto& [labels, counter] : family.instances) {
-      std::snprintf(buffer, sizeof buffer, "\"value\": %" PRIu64 "}",
-                    counter->value());
-      out += first ? "\n" : ",\n";
-      out += "    {\"name\": \"" + json_escape(name) + "\", \"labels\": \"" +
-             json_escape(labels) + "\", " + buffer;
-      first = false;
-    }
-  }
-  out += "\n  ],\n  \"gauges\": [";
-  first = true;
-  for (const auto& [name, family] : gauges_) {
-    for (const auto& [labels, gauge] : family.instances) {
-      out += first ? "\n" : ",\n";
-      out += "    {\"name\": \"" + json_escape(name) + "\", \"labels\": \"" +
-             json_escape(labels) + "\", \"value\": " +
-             format_double(gauge->value()) + "}";
-      first = false;
-    }
-  }
-  out += "\n  ],\n  \"histograms\": [";
-  first = true;
-  for (const auto& [name, family] : histograms_) {
-    for (const auto& [labels, histogram] : family.instances) {
-      std::snprintf(buffer, sizeof buffer, "\"count\": %" PRIu64 ", ",
-                    histogram->count());
-      out += first ? "\n" : ",\n";
-      out += "    {\"name\": \"" + json_escape(name) + "\", \"labels\": \"" +
-             json_escape(labels) + "\", " + buffer +
-             "\"sum\": " + format_double(histogram->sum()) +
-             ", \"p50\": " + format_double(histogram->quantile(0.5)) +
-             ", \"p99\": " + format_double(histogram->quantile(0.99)) + "}";
-      first = false;
-    }
-  }
-  out += "\n  ]\n}\n";
-  return out;
-}
-
 // --- Spans -------------------------------------------------------------------
 
 template <typename Sink>
@@ -884,16 +839,12 @@ const char* to_string(EventLevel level) {
   return "unknown";
 }
 
-EventLog::EventLog(bool enabled, std::size_t capacity, EventLevel min_level)
-    : enabled_(enabled),
-      capacity_(std::max<std::size_t>(capacity, 1)),
-      min_level_(min_level) {}
+EventLog::EventLog(bool enabled, std::size_t capacity)
+    : enabled_(enabled), capacity_(std::max<std::size_t>(capacity, 1)) {}
 
 void EventLog::log(EventLevel level, std::string_view name, sim::TimePoint t,
                    std::vector<std::pair<std::string, std::string>> fields) {
-  // Level filtering happens before any accounting: a filtered event neither
-  // consumes ring capacity nor counts as logged/dropped.
-  if (!enabled_ || level < min_level_) return;
+  if (!enabled_) return;
   std::lock_guard<std::mutex> lock(mutex_);
   TelemetryEvent event;
   event.level = level;
@@ -979,7 +930,7 @@ Telemetry::Telemetry(TelemetryConfig config)
     : config_(config),
       metrics_(config.enabled),
       tracer_(config.enabled, config.max_spans),
-      events_(config.enabled, config.max_events, config.min_event_level) {}
+      events_(config.enabled, config.max_events) {}
 
 namespace {
 

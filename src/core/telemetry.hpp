@@ -6,10 +6,9 @@
 //
 //   * MetricsRegistry — thread-safe counters, gauges and fixed-bucket
 //     histograms, grouped into labeled families (target/command/...), with a
-//     Prometheus text exposition and a JSON dump. The mutation fast path is
-//     lock-free (relaxed atomics); only a handle lookup takes a mutex, and
-//     the monitored path looks each of its series up once and keeps the
-//     handle.
+//     Prometheus text exposition. The mutation fast path is lock-free
+//     (relaxed atomics); only a handle lookup takes a mutex, and the
+//     monitored path looks each of its series up once and keeps the handle.
 //   * Tracer — per-cycle / per-target / per-command / per-retry-attempt
 //     spans carrying both the simulated interval (sim::TimePoint + duration)
 //     and the measured wall-clock duration, exportable as Chrome
@@ -231,8 +230,6 @@ class MetricsRegistry {
   /// sorted by serialized labels — deterministic for a given set of values.
   /// Implemented as prometheus_text_from(snapshot()).
   [[nodiscard]] std::string prometheus_text() const;
-  /// The same data as a JSON document (for dashboards/tests).
-  [[nodiscard]] std::string json_dump() const;
 
  private:
   template <typename T>
@@ -395,16 +392,13 @@ struct TelemetryEvent {
 };
 
 /// Ring-buffered structured event log: the newest `capacity` events are
-/// kept, older ones are dropped (and counted). Events below `min_level` are
-/// filtered at the door — they consume no ring capacity and bump neither
-/// total_logged() nor dropped(). Renderable as logfmt.
+/// kept, older ones are dropped (and counted). Every logged event takes the
+/// next seq, so the ring holds one dense run of them. Renderable as logfmt.
 class EventLog {
  public:
-  explicit EventLog(bool enabled = false, std::size_t capacity = 8192,
-                    EventLevel min_level = EventLevel::debug);
+  explicit EventLog(bool enabled = false, std::size_t capacity = 8192);
 
   [[nodiscard]] bool enabled() const { return enabled_; }
-  [[nodiscard]] EventLevel min_level() const { return min_level_; }
 
   void log(EventLevel level, std::string_view name, sim::TimePoint t,
            std::vector<std::pair<std::string, std::string>> fields = {});
@@ -426,7 +420,6 @@ class EventLog {
  private:
   bool enabled_;
   std::size_t capacity_;
-  EventLevel min_level_;
   mutable std::mutex mutex_;
   std::deque<TelemetryEvent> ring_;
   std::atomic<std::uint64_t> total_{0};
@@ -437,9 +430,6 @@ struct TelemetryConfig {
   bool enabled = false;
   std::size_t max_spans = 262'144;
   std::size_t max_events = 8192;
-  /// Events below this level never enter the ring (debug chatter otherwise
-  /// evicts the warnings an operator actually wants to keep).
-  EventLevel min_event_level = EventLevel::debug;
 };
 
 /// The bundle the monitoring path records into. Enabled/disabled is fixed

@@ -58,18 +58,6 @@ const Sample* find_sample(const std::vector<Sample>& entries,
   return nullptr;
 }
 
-/// Series key of one metric instance: `name` or `name{labels}`.
-std::string series_key(const std::string& name, const std::string& labels) {
-  if (labels.empty()) return name;
-  std::string key;
-  key.reserve(name.size() + labels.size() + 2);
-  key.append(name);
-  key.push_back('{');
-  key.append(labels);
-  key.push_back('}');
-  return key;
-}
-
 double zero_extract(const CycleResult&) { return 0.0; }
 
 /// The one place a self-rule gains its `extract` placeholder: AlertEngine
@@ -505,177 +493,6 @@ TelemetryArchiveReader::TelemetryArchiveReader(const std::string& path) {
   indexed_bytes_ = log.indexed_bytes;
 }
 
-// --- Series ----------------------------------------------------------------
-
-namespace {
-
-std::optional<double> lookup_series(const MetricsSnapshot& snapshot,
-                                    std::string_view name,
-                                    std::string_view labels,
-                                    std::string_view suffix) {
-  if (suffix.empty()) {
-    if (const auto* counter = find_counter(snapshot, name, labels)) {
-      return static_cast<double>(counter->value);
-    }
-    if (const auto* gauge = find_gauge(snapshot, name, labels)) {
-      return gauge->value;
-    }
-    return std::nullopt;
-  }
-  const auto* histogram = find_histogram(snapshot, name, labels);
-  if (histogram == nullptr) return std::nullopt;
-  if (suffix == ":count") return static_cast<double>(histogram->count);
-  if (suffix == ":sum") return histogram->sum;
-  if (suffix == ":p50") return histogram->quantile(0.5);
-  if (suffix == ":p95") return histogram->quantile(0.95);
-  if (suffix == ":p99") return histogram->quantile(0.99);
-  return std::nullopt;
-}
-
-constexpr std::string_view kHistogramSuffixes[] = {":count", ":sum", ":p50",
-                                                   ":p95", ":p99"};
-
-}  // namespace
-
-std::optional<double> telemetry_series_value(const MetricsSnapshot& snapshot,
-                                             std::string_view series) {
-  const std::size_t brace = series.find('{');
-  if (brace != std::string_view::npos) {
-    const std::size_t close = series.rfind('}');
-    if (close == std::string_view::npos || close < brace) return std::nullopt;
-    return lookup_series(snapshot, series.substr(0, brace),
-                         series.substr(brace + 1, close - brace - 1),
-                         series.substr(close + 1));
-  }
-  // Unlabeled: an exact counter/gauge name wins (metric names may legally
-  // contain colons), then the histogram suffixes.
-  if (const std::optional<double> value = lookup_series(snapshot, series, "", "")) {
-    return value;
-  }
-  for (const std::string_view suffix : kHistogramSuffixes) {
-    if (series.size() > suffix.size() &&
-        series.substr(series.size() - suffix.size()) == suffix) {
-      return lookup_series(snapshot,
-                           series.substr(0, series.size() - suffix.size()), "",
-                           suffix);
-    }
-  }
-  return std::nullopt;
-}
-
-std::vector<std::string> telemetry_series_names(const MetricsSnapshot& snapshot) {
-  std::vector<std::string> names;
-  names.reserve(snapshot.counters.size() + snapshot.gauges.size() +
-                snapshot.histograms.size() * 4);
-  for (const MetricsSnapshot::CounterSample& counter : snapshot.counters) {
-    names.push_back(series_key(counter.name, counter.labels));
-  }
-  for (const MetricsSnapshot::GaugeSample& gauge : snapshot.gauges) {
-    names.push_back(series_key(gauge.name, gauge.labels));
-  }
-  for (const MetricsSnapshot::HistogramSample& histogram : snapshot.histograms) {
-    const std::string base = series_key(histogram.name, histogram.labels);
-    for (const std::string_view suffix : {":count", ":sum", ":p50", ":p95"}) {
-      names.push_back(base + std::string(suffix));
-    }
-  }
-  return names;
-}
-
-// --- Compaction ------------------------------------------------------------
-
-TelemetryCompactionStats compact_telemetry_archive(
-    const std::string& input_path, const std::string& output_path,
-    TelemetryCompactionOptions options) {
-  const TelemetryArchiveReader reader(input_path);
-  TelemetryArchiveOptions writer_options;
-  writer_options.keyframe_interval = options.keyframe_interval;
-  writer_options.fsync_on_keyframe = false;  // one sync at the end is enough
-  TelemetryArchiveWriter writer(output_path, writer_options);
-
-  TelemetryCompactionStats stats;
-  stats.samples_in = reader.size();
-  stats.bytes_in = reader.indexed_bytes();
-  for (const TelemetrySample& sample : reader.samples()) {
-    if (options.drop_before &&
-        sample.t_ms < options.drop_before->total_ms()) {
-      ++stats.samples_dropped;
-      continue;
-    }
-    writer.append(sample);
-  }
-  writer.sync();
-  writer.close();
-  stats.samples_out = writer.samples_written();
-  stats.bytes_out = writer.bytes_written();
-  return stats;
-}
-
-// --- Query engine ----------------------------------------------------------
-
-void TelemetryQueryEngine::add_archive(std::string name,
-                                       const std::string& path) {
-  if (find(name) != nullptr) {
-    throw std::invalid_argument("TelemetryQueryEngine: duplicate source " + name);
-  }
-  auto source = std::make_unique<Source>();
-  source->name = std::move(name);
-  source->reader = std::make_unique<TelemetryArchiveReader>(path);
-  sources_.push_back(std::move(source));
-}
-
-std::vector<std::string> TelemetryQueryEngine::sources() const {
-  std::vector<std::string> names;
-  names.reserve(sources_.size());
-  for (const std::unique_ptr<Source>& source : sources_) {
-    names.push_back(source->name);
-  }
-  return names;
-}
-
-const TelemetryQueryEngine::Source* TelemetryQueryEngine::find(
-    const std::string& name) const {
-  for (const std::unique_ptr<Source>& source : sources_) {
-    if (source->name == name) return source.get();
-  }
-  return nullptr;
-}
-
-const TelemetryArchiveReader* TelemetryQueryEngine::reader(
-    const std::string& name) const {
-  const Source* source = find(name);
-  return source == nullptr ? nullptr : source->reader.get();
-}
-
-QueryResult TelemetryQueryEngine::run(const TelemetryQuery& query) const {
-  const Source* source = find(query.source);
-  if (source == nullptr) {
-    throw std::invalid_argument("TelemetryQueryEngine: unknown source " +
-                                query.source);
-  }
-
-  const QueryWindow window = query_window(query.from, query.to, query.resolution);
-  if (window.from_ms > window.to_ms) return {};
-
-  QueryResult result;
-  const std::vector<TelemetrySample>& samples = source->reader->samples();
-  auto it = std::lower_bound(
-      samples.begin(), samples.end(), window.from_ms,
-      [](const TelemetrySample& sample, std::int64_t t) {
-        return sample.t_ms < t;
-      });
-  PointFolder points(window, query.aggregate, result.points);
-  for (; it != samples.end() && it->t_ms <= window.to_ms; ++it) {
-    ++result.records_decoded;
-    if (const std::optional<double> value =
-            telemetry_series_value(it->metrics, query.series)) {
-      points.add(it->t_ms, *value);
-    }
-  }
-  points.finish();
-  return result;
-}
-
 // --- Self-monitoring -------------------------------------------------------
 
 namespace {
@@ -709,9 +526,9 @@ HealthSample health_sample(const TelemetrySample* prev,
   HealthSample health;
   health.t_ms = cur.t_ms;
   health.cycle_s = self_cycle_duration_s(prev, cur);
-  health.queue_depth_peak =
-      telemetry_series_value(cur.metrics, "mantra_pool_queue_depth_peak")
-          .value_or(0.0);
+  if (const auto* gauge = find_gauge(cur.metrics, "mantra_pool_queue_depth_peak")) {
+    health.queue_depth_peak = gauge->value;
+  }
   for (const std::string_view name :
        {"mantra_trace_spans_dropped_total", "mantra_events_dropped_total"}) {
     if (const auto* counter = find_counter(cur.metrics, name)) {

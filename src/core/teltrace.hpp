@@ -1,12 +1,11 @@
 // Durable self-telemetry: the monitor's own vital signs, archived with the
 // same discipline as the router state it collects. core/telemetry gives the
 // monitor in-memory counters, gauges, histograms and an event ring; this
-// module makes that state *durable and queryable* so "was the monitor
-// healthy last Tuesday?" has an answer after the process is gone — the
-// "monitor of the monitor" loop the paper's six-month deployment needed but
-// left implicit.
+// module makes that state *durable* so "was the monitor healthy last
+// Tuesday?" has an answer after the process is gone — the "monitor of the
+// monitor" loop the paper's six-month deployment needed but left implicit.
 //
-// Three pieces:
+// Two pieces:
 //
 //   * `.mtel` archive — one record per monitoring cycle holding a
 //     MetricsSnapshot of every registered metric plus the event-log tail
@@ -15,10 +14,8 @@
 //     key-frame/delta encoding (counters as varint deltas, doubles as
 //     XOR-of-IEEE-754-bits varints — lossless). A metric dictionary grows
 //     append-only across the file so names/labels/bounds are written once.
-//   * TelemetryQueryEngine — the core/query pattern over `.mtel` files:
-//     {series, [from, to], resolution, aggregate} questions answered from
-//     the samples the reader decoded at open, folded per bucket with
-//     core/query's PointFolder and outward bucket snapping.
+//     TelemetryArchiveReader is the one way back in: it decodes the whole
+//     file at open.
 //   * SelfMonitor — samples the live Telemetry once per cycle, appends to
 //     the `.mtel`, and evaluates a self-monitoring rule pack
 //     (cycle-duration p95, pool queue depth, capture failure rate, archive
@@ -42,13 +39,12 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/alert.hpp"
-#include "core/query.hpp"
+#include "core/framed.hpp"
 #include "core/telemetry.hpp"
 #include "sim/time.hpp"
 
@@ -166,91 +162,6 @@ class TelemetryArchiveReader {
   std::vector<TelemetrySample> samples_;
   std::uint64_t indexed_bytes_ = 0;
   RecoveryInfo recovery_;
-};
-
-// --- Series & compaction --------------------------------------------------
-
-/// A telemetry series names one scalar per sample:
-///
-///   name                  counter or gauge, unlabeled
-///   name{labels}          counter or gauge, serialized sorted label form
-///   name[{labels}]:count  histogram observation count
-///   name[{labels}]:sum    histogram observation sum
-///   name[{labels}]:p50    histogram quantile (also :p95, :p99)
-///
-/// Values are the *cumulative* state at the sample (rates are a rule-pack
-/// concern, not a storage concern). nullopt when the series is absent from
-/// the sample — absent samples contribute nothing to aggregates.
-[[nodiscard]] std::optional<double> telemetry_series_value(
-    const MetricsSnapshot& snapshot, std::string_view series);
-
-/// Every series a snapshot exposes, in deterministic (kind-section, name,
-/// labels) order — series discovery for TelemetryQuery.
-[[nodiscard]] std::vector<std::string> telemetry_series_names(
-    const MetricsSnapshot& snapshot);
-
-struct TelemetryCompactionOptions {
-  int keyframe_interval = 96;
-  /// Samples strictly before this instant are dropped.
-  std::optional<sim::TimePoint> drop_before;
-};
-
-struct TelemetryCompactionStats {
-  std::size_t samples_in = 0;
-  std::size_t samples_out = 0;
-  std::size_t samples_dropped = 0;
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-};
-
-/// Rewrites `input_path` into `output_path`, healing any torn tail by
-/// construction and applying the retention horizon.
-TelemetryCompactionStats compact_telemetry_archive(
-    const std::string& input_path, const std::string& output_path,
-    TelemetryCompactionOptions options = {});
-
-// --- Queries ---------------------------------------------------------------
-
-/// One question about a telemetry series. Same range semantics as
-/// core/query's Query: samples with from <= t <= to participate; hour and
-/// day resolution snap the range outward to whole buckets.
-struct TelemetryQuery {
-  std::string source;  ///< archive name given to add_archive
-  std::string series;
-  sim::TimePoint from = sim::TimePoint::start();
-  sim::TimePoint to = sim::TimePoint::from_ms(std::int64_t{1} << 62);
-  QueryResolution resolution = QueryResolution::raw;
-  QueryAggregate aggregate = QueryAggregate::last;  ///< ignored for raw
-};
-
-/// Serves TelemetryQuery over one or more `.mtel` files (one per shard in a
-/// fleet). Results reuse core/query's QueryPoint/QueryResult. add_archive is
-/// setup-phase; run() is const and safe from many threads.
-class TelemetryQueryEngine {
- public:
-  TelemetryQueryEngine() = default;
-
-  /// Opens `path` under `name`. Throws std::invalid_argument for a name
-  /// already added, and what TelemetryArchiveReader throws.
-  void add_archive(std::string name, const std::string& path);
-
-  [[nodiscard]] std::vector<std::string> sources() const;
-  /// nullptr when `name` was never added.
-  [[nodiscard]] const TelemetryArchiveReader* reader(const std::string& name) const;
-
-  /// Answers one query; QueryResult::records_decoded counts the samples in
-  /// the (snapped) range. Throws std::invalid_argument for an unknown source.
-  [[nodiscard]] QueryResult run(const TelemetryQuery& query) const;
-
- private:
-  struct Source {
-    std::string name;
-    std::unique_ptr<TelemetryArchiveReader> reader;
-  };
-
-  [[nodiscard]] const Source* find(const std::string& name) const;
-
-  std::vector<std::unique_ptr<Source>> sources_;
 };
 
 // --- Self-monitoring -------------------------------------------------------

@@ -367,7 +367,9 @@ TEST_F(FleetFixture, NeverSucceededTargetKeepsPinnedStalenessFleetWide) {
   FaultProfile dark;
   dark.connect_refused_p = 1.0;
   Mantra dark_shard(scenario_.engine(), config,
-                    std::make_unique<FaultInjectingTransport>(9, dark));
+                    [dark](const std::string&) -> std::unique_ptr<Transport> {
+                      return std::make_unique<FaultInjectingTransport>(9, dark);
+                    });
   dark_shard.add_target(scenario_.network().router(shard_node(0)));
   dark_shard.start();
   auto healthy_shard = make_shard(1, "", 0);

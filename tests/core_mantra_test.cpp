@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -50,6 +51,13 @@ class SelectiveFailTransport : public Transport {
   std::set<std::string> failing_;
   bool dark_ = false;
 };
+
+/// A factory that hands `transport` to the first target added, so a test
+/// can keep a raw pointer to it and swap fault profiles mid-run.
+TransportFactory hand_over(std::unique_ptr<Transport> transport) {
+  return [held = std::make_shared<std::unique_ptr<Transport>>(std::move(transport))](
+             const std::string&) { return std::move(*held); };
+}
 
 /// The value of `field` in the newest `name` event, or nullopt.
 std::optional<std::string> newest_event_field(const Telemetry& telemetry,
@@ -352,6 +360,42 @@ TEST_F(MantraPipeline, UnknownTargetThrows) {
   EXPECT_THROW(monitor_->target_view("nonesuch").results(), std::out_of_range);
 }
 
+// Adding a monitored router again throws before anything is built: a second
+// state would reopen `<archive_dir>/fixw.marc` with "wb" and replace the
+// first, so the results and the archived cycles so far would be lost and
+// the file left torn.
+TEST_F(MantraPipeline, ReAddingAMonitoredTargetThrowsAndKeepsItsArchive) {
+  const std::string dir = ::testing::TempDir() + "mantra_pipeline_readd";
+  std::filesystem::remove_all(dir);
+  MantraConfig config;
+  config.cycle = sim::Duration::minutes(15);
+  config.archive_dir = dir;
+  auto archived = std::make_unique<Mantra>(scenario_.engine(), config);
+  const router::MulticastRouter* fixw = scenario_.network().router(scenario_.fixw_node());
+  archived->add_target(fixw);
+  archived->start();
+  run_minutes(90);
+  const std::vector<CycleResult> before = archived->target_view("fixw").results();
+  ASSERT_EQ(before.size(), 6u);
+
+  EXPECT_THROW(archived->add_target(fixw), std::invalid_argument);
+  EXPECT_EQ(archived->target_names(), std::vector<std::string>{"fixw"});
+  EXPECT_EQ(archived->target_view("fixw").results(), before);
+
+  run_minutes(15);
+  const std::vector<CycleResult> results = archived->target_view("fixw").results();
+  ASSERT_EQ(results.size(), 7u);
+  archived.reset();  // closes the archive
+
+  const ArchiveReader reader(dir + "/fixw.marc");
+  EXPECT_TRUE(reader.recovery().clean) << reader.recovery().reason;
+  ASSERT_EQ(reader.size(), results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    EXPECT_EQ(reader.result_at(i), results[i]) << "cycle " << i;
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(MantraPipeline, StopHaltsCycles) {
   run_hours(1);
   monitor_->stop();
@@ -400,7 +444,7 @@ TEST_F(MantraPipeline, HealthTransitionsAreObservable) {
   config.unreachable_after = 2;
   auto owned = std::make_unique<FaultInjectingTransport>(7, FaultProfile{});
   FaultInjectingTransport* faults = owned.get();
-  Mantra faulty(scenario_.engine(), config, std::move(owned));
+  Mantra faulty(scenario_.engine(), config, hand_over(std::move(owned)));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
   faulty.start();
 
@@ -440,7 +484,7 @@ TEST_F(MantraPipeline, LastSuccessFreezesThroughDarkCyclesAndRecovers) {
   config.unreachable_after = 2;
   auto owned = std::make_unique<FaultInjectingTransport>(7, FaultProfile{});
   FaultInjectingTransport* faults = owned.get();
-  Mantra faulty(scenario_.engine(), config, std::move(owned));
+  Mantra faulty(scenario_.engine(), config, hand_over(std::move(owned)));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
 
   // Before any cycle has run the target has never succeeded.
@@ -486,7 +530,7 @@ TEST_F(MantraPipeline, RecoveryToDegradedCarriesHealthContext) {
   config.telemetry.enabled = true;
   auto owned = std::make_unique<SelectiveFailTransport>();
   SelectiveFailTransport* transport = owned.get();
-  Mantra faulty(scenario_.engine(), config, std::move(owned));
+  Mantra faulty(scenario_.engine(), config, hand_over(std::move(owned)));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
   faulty.start();
 
@@ -526,7 +570,7 @@ TEST_F(MantraPipeline, RecoveryToHealthyCarriesHealthContext) {
   config.telemetry.enabled = true;
   auto owned = std::make_unique<SelectiveFailTransport>();
   SelectiveFailTransport* transport = owned.get();
-  Mantra faulty(scenario_.engine(), config, std::move(owned));
+  Mantra faulty(scenario_.engine(), config, hand_over(std::move(owned)));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
   faulty.start();
 
@@ -551,7 +595,7 @@ TEST_F(MantraPipeline, MonitorStatusReportsCollectionHealth) {
   config.unreachable_after = 2;
   auto owned = std::make_unique<FaultInjectingTransport>(7, FaultProfile{});
   FaultInjectingTransport* faults = owned.get();
-  Mantra faulty(scenario_.engine(), config, std::move(owned));
+  Mantra faulty(scenario_.engine(), config, hand_over(std::move(owned)));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
   faulty.start();
 
@@ -655,7 +699,7 @@ TEST_F(MantraPipeline, MonitorStatusNeverSucceededTargetAgesFromRunStart) {
   FaultProfile dark;
   dark.connect_refused_p = 1.0;
   Mantra faulty(scenario_.engine(), config,
-                std::make_unique<FaultInjectingTransport>(7, dark));
+                hand_over(std::make_unique<FaultInjectingTransport>(7, dark)));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
   faulty.start();
   run_hours(1);
@@ -691,8 +735,8 @@ TEST_F(MantraPipeline, FaultyCollectionDegradesGracefully) {
   config.cycle = sim::Duration::minutes(15);
   config.retry.max_attempts = 1;
   Mantra faulty(scenario_.engine(), config,
-                std::make_unique<FaultInjectingTransport>(
-                    99, FaultProfile::command_failure_rate(0.2)));
+                hand_over(std::make_unique<FaultInjectingTransport>(
+                    99, FaultProfile::command_failure_rate(0.2))));
   faulty.add_target(scenario_.network().router(scenario_.fixw_node()));
   faulty.start();
 

@@ -1,12 +1,10 @@
 // core/teltrace: the `.mtel` self-telemetry archive round-trips losslessly
 // and truncates (never propagates) torn tails; a self-monitor's `.mtel`
-// decodes to what its registry held at each sample; coarse queries over the
-// raw samples give bit for bit the answers of the retired rollup sidecar's
-// fold (tests/oracle/); compaction heals damage and honors retention; the
-// self-monitoring rule pack fires on a seeded capture-fault burst; each
-// sample's event tail holds exactly the events logged since the previous
-// one; and the report's "Monitor health" section renders byte-identically
-// live and from an `.mtel` replay. Sampling is result-neutral: every
+// decodes to what its registry held at each sample; the self-monitoring
+// rule pack fires on a seeded capture-fault burst; each sample's event tail
+// holds exactly the events logged since the previous one; and the report's
+// "Monitor health" section renders byte-identically live and from an
+// `.mtel` replay. Sampling is result-neutral: every
 // monitored-path output is byte-identical with the self-monitor on or off.
 #include <gtest/gtest.h>
 
@@ -33,7 +31,6 @@
 #include "core/telemetry.hpp"
 #include "core/transport.hpp"
 #include "oracle/mtel_writer_oracle.hpp"
-#include "oracle/telemetry_rollup_oracle.hpp"
 #include "sim/time.hpp"
 #include "workload/scenario.hpp"
 
@@ -342,163 +339,6 @@ TEST(TelemetryArchive, WriterMatchesTheKeyMapOracleOnSeededSequences) {
     const TelemetryArchiveReader reader(path);
     ASSERT_TRUE(reader.recovery().clean) << "seed " << seed;
     ASSERT_EQ(reader.samples(), decoded_view(samples)) << "seed " << seed;
-  }
-  std::filesystem::remove_all(dir);
-}
-
-// --- Queries -----------------------------------------------------------------
-
-void expect_points_equal(const std::vector<QueryPoint>& got,
-                         const std::vector<QueryPoint>& want, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].t, want[i].t) << what << " point #" << i;
-    // Bit-identical, not approximately equal: the raw scan must run the
-    // fold's accumulation in the fold's order.
-    EXPECT_EQ(got[i].value, want[i].value) << what << " point #" << i;
-    EXPECT_EQ(got[i].samples, want[i].samples) << what << " point #" << i;
-  }
-}
-
-TEST(TelemetryQueryEngine, CoarseAnswersEqualTheRollupFoldBitForBit) {
-  const std::filesystem::path dir = temp_dir("mantra_mtel_query_oracle");
-  const std::string path = (dir / "self.mtel").string();
-  {
-    TelemetryArchiveWriter writer(path);
-    // 30 hours at one sample per 10 minutes.
-    for (int i = 0; i < 180; ++i) writer.append(make_sample(i));
-  }
-  TelemetryQueryEngine engine;
-  engine.add_archive("self", path);
-  const std::vector<TelemetrySample>& samples = engine.reader("self")->samples();
-  ASSERT_EQ(samples.size(), 180u);
-
-  const std::vector<std::string> series = telemetry_series_names(samples.back().metrics);
-  ASSERT_FALSE(series.empty());
-  const std::vector<QueryAggregate> aggregates = {
-      QueryAggregate::last, QueryAggregate::min,  QueryAggregate::max,
-      QueryAggregate::mean, QueryAggregate::sum,  QueryAggregate::count};
-  // Full range plus a deliberately bucket-misaligned window (snaps outward).
-  const std::vector<std::pair<sim::TimePoint, sim::TimePoint>> ranges = {
-      {sim::TimePoint::start(), sim::TimePoint::from_ms(std::int64_t{1} << 62)},
-      {sim::TimePoint::from_ms(5 * 3'600'000 + 13 * 60'000),
-       sim::TimePoint::from_ms(17 * 3'600'000 + 47 * 60'000)},
-  };
-  for (const auto& [resolution, width] :
-       {std::pair{QueryResolution::hour, kHourMs}, std::pair{QueryResolution::day, kDayMs}}) {
-    const oracle::TelemetryRollups rollups = oracle::build_telemetry_rollups(samples, width);
-    // Series discovery names exactly the series the fold enumerates.
-    std::vector<std::string> folded;
-    for (const auto& [name, buckets] : rollups) folded.push_back(name);
-    std::vector<std::string> discovered = series;
-    std::sort(discovered.begin(), discovered.end());
-    EXPECT_EQ(discovered, folded);
-    for (const std::string& name : series) {
-      for (const QueryAggregate aggregate : aggregates) {
-        for (const auto& [from, to] : ranges) {
-          TelemetryQuery query;
-          query.source = "self";
-          query.series = name;
-          query.from = from;
-          query.to = to;
-          query.resolution = resolution;
-          query.aggregate = aggregate;
-          const QueryResult result = engine.run(query);
-          EXPECT_FALSE(result.from_rollup);
-          EXPECT_GT(result.records_decoded, 0u) << name;
-          expect_points_equal(result.points, oracle::rollup_points(rollups, query), name);
-        }
-      }
-    }
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(TelemetryQueryEngine, RawSamplesServeAndUnknownSourceThrows) {
-  const std::filesystem::path dir = temp_dir("mantra_mtel_query_raw");
-  const std::string path = (dir / "self.mtel").string();
-  {
-    TelemetryArchiveWriter writer(path);
-    for (int i = 0; i < 30; ++i) writer.append(make_sample(i));
-  }
-  // A `.mtrl` left behind by an older build is not read.
-  {
-    std::ofstream stale(dir / "self.mtrl", std::ios::binary);
-    stale << "left over from an older build";
-  }
-
-  TelemetryQueryEngine engine;
-  engine.add_archive("self", path);
-
-  TelemetryQuery query;
-  query.source = "self";
-  query.series = "c_total";
-  query.resolution = QueryResolution::hour;
-  query.aggregate = QueryAggregate::last;
-  const QueryResult result = engine.run(query);
-  EXPECT_FALSE(result.from_rollup);
-  EXPECT_EQ(result.records_decoded, 30u);
-  EXPECT_FALSE(result.points.empty());
-
-  EXPECT_THROW((void)engine.run({.source = "unknown", .series = "c_total"}),
-               std::invalid_argument);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(TelemetryQueryEngine, DuplicateSourceNameThrows) {
-  const std::filesystem::path dir = temp_dir("mantra_mtel_query_duplicate");
-  const std::string first = (dir / "first.mtel").string();
-  const std::string second = (dir / "second.mtel").string();
-  {
-    TelemetryArchiveWriter writer(first);
-    for (int i = 0; i < 3; ++i) writer.append(make_sample(i));
-  }
-  {
-    TelemetryArchiveWriter writer(second);
-    for (int i = 0; i < 5; ++i) writer.append(make_sample(i));
-  }
-  TelemetryQueryEngine engine;
-  engine.add_archive("self", first);
-  EXPECT_THROW(engine.add_archive("self", second), std::invalid_argument);
-  // The first registration still answers under the name.
-  EXPECT_EQ(engine.sources(), std::vector<std::string>{"self"});
-  EXPECT_EQ(engine.reader("self")->size(), 3u);
-  engine.add_archive("other", second);
-  EXPECT_EQ(engine.reader("other")->size(), 5u);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(TelemetryCompaction, HealsTornTailsAndHonorsRetention) {
-  const std::filesystem::path dir = temp_dir("mantra_mtel_compact");
-  const std::string damaged = (dir / "damaged.mtel").string();
-  std::uint64_t keep_bytes = 0;
-  {
-    TelemetryArchiveWriter writer(damaged);
-    for (int i = 0; i < 24; ++i) {
-      writer.append(make_sample(i));
-      if (i == 22) keep_bytes = writer.bytes_written();
-    }
-    writer.close();
-  }
-  std::filesystem::resize_file(damaged, keep_bytes + 5);  // tear the tail
-
-  // drop_before removes the first 2 hours (samples 0..11); the torn final
-  // record is healed by construction.
-  TelemetryCompactionOptions options;
-  options.drop_before = sim::TimePoint::from_ms(12 * 600'000);
-  const std::string healed = (dir / "healed.mtel").string();
-  const TelemetryCompactionStats stats =
-      compact_telemetry_archive(damaged, healed, options);
-  EXPECT_EQ(stats.samples_in, 23u);  // sample 23 was torn off
-  EXPECT_EQ(stats.samples_dropped, 12u);
-  EXPECT_EQ(stats.samples_out, 11u);
-  EXPECT_LT(stats.bytes_out, stats.bytes_in);
-
-  TelemetryArchiveReader reader(healed);
-  EXPECT_TRUE(reader.recovery().clean);
-  ASSERT_EQ(reader.size(), 11u);
-  for (std::size_t i = 0; i < reader.size(); ++i) {
-    EXPECT_EQ(reader.samples()[i], make_sample(static_cast<int>(i) + 12));
   }
   std::filesystem::remove_all(dir);
 }

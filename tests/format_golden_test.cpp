@@ -254,11 +254,13 @@ void write_formats(const fs::path& dir) {
     TelemetryArchiveWriter writer((dir / "self.mtel").string(), telemetry_options);
     for (int i = 0; i < kMtelSamples; ++i) writer.append(mtel_sample(i));
   }
-  TelemetryCompactionOptions telemetry_compaction;
-  telemetry_compaction.keyframe_interval = 4;
-  telemetry_compaction.drop_before = sim::TimePoint::from_ms(2 * 600'000);
-  compact_telemetry_archive((dir / "self.mtel").string(),
-                            (dir / "self_compacted.mtel").string(), telemetry_compaction);
+  // The same stream less its first two samples, re-keyed every 4: a file
+  // whose first record is a key-frame taken mid-stream.
+  telemetry_options.keyframe_interval = 4;
+  {
+    TelemetryArchiveWriter writer((dir / "self_compacted.mtel").string(), telemetry_options);
+    for (int i = 2; i < kMtelSamples; ++i) writer.append(mtel_sample(i));
+  }
 }
 
 void expect_tables_equal(const Snapshot& got, const Snapshot& want, const std::string& label) {
