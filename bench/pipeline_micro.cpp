@@ -1,6 +1,6 @@
 // Microbenchmarks of the monitoring pipeline itself (google-benchmark):
 // capture-text preprocessing, table parsing, delta computation, logging,
-// statistics, DVMRP route monitoring, and the LPM trie — the per-cycle costs that bound how many
+// statistics, the DVMRP route walk, and the LPM trie — the per-cycle costs that bound how many
 // routers one Mantra instance can poll at a given cycle length, and the
 // "text scraping vs structured access" cost DESIGN.md calls out. The
 // render benchmarks time the other side of the capture: the simulated
@@ -160,10 +160,11 @@ void BM_DeriveAndUsage(benchmark::State& state) {
 }
 BENCHMARK(BM_DeriveAndUsage)->Arg(500)->Arg(3000);
 
-void BM_RouteMonitorObserve(benchmark::State& state) {
+void BM_RouteCycleStats(benchmark::State& state) {
   // Two tables 1 % apart (every 200th prefix replaced, every 200th further
-  // one flipped into hold-down), observed alternately: each cycle merges a
-  // full table with 1 % churn.
+  // one flipped into hold-down), walked alternately against each other as
+  // derive_cycle walks the caller's previous table: each cycle merges a
+  // full table with 1 % churn, and nothing is kept.
   const int n = static_cast<int>(state.range(0));
   core::RouteTable tables[2];
   for (int i = 0; i < n; ++i) {
@@ -180,15 +181,15 @@ void BM_RouteMonitorObserve(benchmark::State& state) {
     }
     tables[1].upsert(row);
   }
-  core::RouteMonitor monitor;
   std::int64_t cycle = 0;
   for (auto _ : state) {
-    monitor.observe(sim::TimePoint::from_ms(cycle * 900'000), tables[cycle & 1]);
+    benchmark::DoNotOptimize(core::route_cycle_stats(
+        sim::TimePoint::from_ms(cycle * 900'000), &tables[(cycle + 1) & 1], tables[cycle & 1]));
     ++cycle;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * n);
 }
-BENCHMARK(BM_RouteMonitorObserve)->Arg(1600);
+BENCHMARK(BM_RouteCycleStats)->Arg(1600);
 
 void BM_TrieLongestMatch(benchmark::State& state) {
   sim::Rng rng(11);

@@ -118,8 +118,8 @@ class ArchiveWriter {
     bool operator==(const RecordShape&) const = default;
   };
   /// The meta-only append's own state: its derivation carry and its copy
-  /// of the last appended tables (the carry's route monitor diffs against
-  /// it too).
+  /// of the last appended tables, both the delta base and derive_cycle's
+  /// previous snapshot (the carry keeps only that cycle's route stats).
   struct SelfDerived {
     CycleCarry carry;
     Snapshot previous;

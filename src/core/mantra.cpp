@@ -318,8 +318,10 @@ void Mantra::run_target_cycle(TargetState& target, sim::TimePoint now,
       ++stale_tables;
     }
   }
-  // "show ip igmp groups" is captured for the archive; host-level
-  // membership detail is not part of the cycle statistics.
+  // "show ip igmp groups" is captured and preprocessed but never parsed:
+  // no snapshot table and no `.marc` record holds it. It counts only
+  // toward the cycle's collection facts (failures, attempts, latency), its
+  // health and whether the cycle is dark.
   const std::size_t warnings = warning_lines.size();
 
   ArchiveCycleMeta meta;
@@ -434,10 +436,6 @@ const std::vector<CycleResult>& Mantra::TargetView::results() const {
   return state_->results;
 }
 
-const RouteMonitor& Mantra::TargetView::route_monitor() const {
-  return state_->carry.route_monitor;
-}
-
 const Snapshot& Mantra::TargetView::latest_snapshot() const {
   return state_->latest;
 }
@@ -458,11 +456,7 @@ const ArchiveWriter* Mantra::TargetView::archive() const {
 
 TimeSeries Mantra::series(std::string_view router_name, std::string series_name,
                           const std::function<double(const CycleResult&)>& extract) const {
-  TimeSeries out(std::move(series_name));
-  for (const CycleResult& result : target(router_name).results) {
-    out.add(result.t, extract(result));
-  }
-  return out;
+  return series_from(target(router_name).results, std::move(series_name), extract);
 }
 
 UsageStats Mantra::aggregate_usage() const {

@@ -174,13 +174,12 @@ class Mantra {
 
  public:
   /// Read-only facade over everything Mantra knows about one target:
-  /// results, route monitor, latest snapshot, and health. The view
-  /// borrows from the Mantra instance and is invalidated by its destruction.
+  /// results, latest snapshot, and health. The view borrows from the Mantra
+  /// instance and is invalidated by its destruction.
   class TargetView {
    public:
     [[nodiscard]] const std::string& name() const;
     [[nodiscard]] const std::vector<CycleResult>& results() const;
-    [[nodiscard]] const RouteMonitor& route_monitor() const;
     [[nodiscard]] const Snapshot& latest_snapshot() const;
     [[nodiscard]] TargetHealth health() const;
     /// Fully dark cycles in a row as of now (0 while collection works).
@@ -222,7 +221,8 @@ class Mantra {
   /// The single per-target accessor; throws std::out_of_range for unknown
   /// names. (The old per-router forwarders — results(name), logger(name),
   /// route_monitor(name), latest_snapshot(name) — were removed in favour of
-  /// target_view(name).<accessor>(); see DESIGN.md for the break note.)
+  /// target_view(name).<accessor>(); route statistics are in results(). See
+  /// DESIGN.md for the break note.)
   [[nodiscard]] TargetView target_view(std::string_view router_name) const;
 
   /// Extracts a time series from the result history of one router.
@@ -289,13 +289,13 @@ class Mantra {
     const router::MulticastRouter* router = nullptr;
     std::string name;
     std::unique_ptr<Collector> collector;
-    CycleCarry carry;  ///< route monitor, spike detector, derive storage
+    CycleCarry carry;  ///< last route stats, spike detector, derive storage
     std::unique_ptr<ArchiveWriter> archive;  ///< null when archiving is off
     std::vector<CycleResult> results;
     TargetSummary summary;  ///< `results` folded, for status()
     /// The last recorded cycle's snapshot: the stale-table carry source,
-    /// the route monitor's previous table and the archive writer's delta
-    /// base (neither keeps a copy).
+    /// derive_cycle's previous snapshot and the archive writer's delta base
+    /// (neither keeps a copy).
     Snapshot latest;
     TargetHealth health = TargetHealth::Healthy;
     std::size_t consecutive_failures = 0;  ///< fully dark cycles in a row

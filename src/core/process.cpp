@@ -122,16 +122,19 @@ void set_cycle_meta(CycleResult& result, const ArchiveCycleMeta& meta) {
 
 CycleResult derive_cycle(const Snapshot& snapshot, const Snapshot& previous,
                          const ArchiveCycleMeta& meta, CycleCarry& carry) {
-  // The route monitor's last CycleStats names the snapshot this carry
-  // derived last by its time here and by its row count in observe(); both
-  // checks throw before anything is recorded.
-  const std::vector<RouteMonitor::CycleStats>& seen = carry.route_monitor.history();
-  if (!seen.empty() && previous.captured != seen.back().t) {
+  // The last cycle's route statistics name the snapshot this carry derived
+  // last by its time and route count; before the first, it has no routes.
+  const std::optional<RouteCycleStats>& last = carry.last_routes;
+  const bool derived_last =
+      last ? previous.captured == last->t && previous.routes.size() == last->total
+           : previous.routes.empty();
+  if (!derived_last) {
     throw std::logic_error(
         "derive_cycle: `previous` is not the snapshot this carry derived last");
   }
-  carry.route_monitor.observe(snapshot.captured, previous.routes, snapshot.routes);
-  const RouteMonitor::CycleStats& routes = seen.back();
+  const RouteCycleStats routes =
+      route_cycle_stats(snapshot.captured, last ? &previous.routes : nullptr, snapshot.routes);
+  carry.last_routes = routes;
   derive_participants_into(snapshot.pairs, carry.sender_threshold_kbps, carry.participants);
   derive_sessions_into(snapshot.pairs, carry.sender_threshold_kbps, carry.sessions);
 
@@ -193,60 +196,33 @@ DensityDistribution compute_density_distribution(const SessionTable& sessions) {
   return dist;
 }
 
-void RouteMonitor::observe(sim::TimePoint t, const RouteTable& routes) {
-  observe(t, own_previous_, routes);
-  own_previous_ = routes;
-}
-
-void RouteMonitor::observe(sim::TimePoint t, const RouteTable& previous,
-                           const RouteTable& routes) {
-  if (previous.size() != first_seen_.size()) {
-    throw std::logic_error(
-        "RouteMonitor::observe: `previous` is not the table observed last");
-  }
+RouteCycleStats route_cycle_stats(sim::TimePoint t, const RouteTable* previous,
+                                  const RouteTable& routes) {
   // One merge over the previous and current tables (both key-ordered):
-  // counts upserts and removals exactly as RouteTable::diff would, carries
-  // first-seen times forward aligned with the new table, and completes the
-  // lifetimes of removed routes in key order.
-  const bool have_previous = !history_.empty();
-  CycleStats stats;
+  // upserts and removals, exactly as RouteTable::diff counts them.
+  static const RouteTable kNone;
+  const RouteTable& before = previous != nullptr ? *previous : kNone;
+  RouteCycleStats stats;
   stats.t = t;
   stats.total = routes.size();
-  next_first_seen_.clear();
-  auto prev = previous.begin();
-  auto seen = first_seen_.begin();
+  auto prev = before.begin();
   for (const RouteRow& route : routes) {
     if (!route.holddown) ++stats.valid;
-    while (prev != previous.end() && prev->prefix < route.prefix) {
-      completed_lifetimes_s_.push_back((t - *seen).total_seconds());
-      ++stats.changes;
-      ++prev;
-      ++seen;
-    }
-    if (prev != previous.end() && prev->prefix == route.prefix) {
-      next_first_seen_.push_back(*seen);
+    for (; prev != before.end() && prev->prefix < route.prefix; ++prev) ++stats.changes;
+    if (prev != before.end() && prev->prefix == route.prefix) {
       if (!RouteRow::delta_equal(*prev, route)) ++stats.changes;
       ++prev;
-      ++seen;
-    } else {
-      next_first_seen_.push_back(t);
-      if (have_previous) ++stats.changes;
+    } else if (previous != nullptr) {
+      ++stats.changes;
     }
   }
-  for (; prev != previous.end(); ++prev, ++seen) {
-    completed_lifetimes_s_.push_back((t - *seen).total_seconds());
-    ++stats.changes;
-  }
-  total_changes_ += stats.changes;
-  history_.push_back(stats);
-  first_seen_.swap(next_first_seen_);
+  stats.changes += static_cast<std::size_t>(before.end() - prev);
+  return stats;
 }
 
-double RouteMonitor::mean_completed_lifetime_s() const {
-  if (completed_lifetimes_s_.empty()) return 0.0;
-  double total = 0.0;
-  for (double lifetime : completed_lifetimes_s_) total += lifetime;
-  return total / static_cast<double>(completed_lifetimes_s_.size());
+void RouteMonitor::observe(sim::TimePoint t, const RouteTable& routes) {
+  history_.push_back(route_cycle_stats(t, history_.empty() ? nullptr : &previous_, routes));
+  previous_ = routes;
 }
 
 ConsistencyStats compare_route_tables(const RouteTable& a, const RouteTable& b) {

@@ -178,53 +178,34 @@ struct DensityDistribution {
 [[nodiscard]] DensityDistribution compute_density_distribution(
     const SessionTable& sessions);
 
-/// Per-router DVMRP route statistics accumulated across cycles (Figs 7-9).
+/// One cycle's DVMRP route statistics (Figs 7-9).
+struct RouteCycleStats {
+  sim::TimePoint t;
+  std::size_t total = 0;
+  std::size_t valid = 0;    ///< excluding hold-down
+  std::size_t changes = 0;  ///< upserts + removals vs the previous cycle
+};
+
+/// One merge walk over `previous`, the route table of the cycle before
+/// (null before the first cycle, which counts no changes), and `routes`,
+/// both key-ordered: the cycle's route counts, with its changes counted
+/// exactly as RouteTable::diff counts them. Keeps nothing.
+[[nodiscard]] RouteCycleStats route_cycle_stats(sim::TimePoint t, const RouteTable* previous,
+                                                const RouteTable& routes);
+
+/// Adapter for perfbench's traced mirror, which keeps no previous table:
+/// counts each observed table with route_cycle_stats against its own copy
+/// of the last one, and keeps every cycle's stats. It leaves with the
+/// mirror (ROADMAP item 3).
 class RouteMonitor {
  public:
-  struct CycleStats {
-    sim::TimePoint t;
-    std::size_t total = 0;
-    std::size_t valid = 0;      ///< excluding hold-down
-    std::size_t changes = 0;    ///< upserts + removals vs previous cycle
-  };
-
-  /// Records one cycle's route table against `previous`, the table this
-  /// monitor observed last (an empty table before the first): one merge
-  /// walk counts the changes, carries first-seen times forward and
-  /// completes the lifetimes of removed routes. The monitor keeps no copy
-  /// of a table. Throws std::logic_error, recording nothing, when
-  /// `previous` does not have the last observed table's row count.
-  void observe(sim::TimePoint t, const RouteTable& previous, const RouteTable& routes);
-
-  /// Adapter for callers that keep no previous table: observes against the
-  /// monitor's own copy of the last table, then replaces that copy. Only
-  /// perfbench's traced mirror, bench/pipeline_micro and tests call it; it
-  /// goes with the mirror (ROADMAP item 2, step 2). Do not mix the two
-  /// forms on one monitor.
   void observe(sim::TimePoint t, const RouteTable& routes);
 
-  [[nodiscard]] const std::vector<CycleStats>& history() const { return history_; }
-  [[nodiscard]] std::uint64_t total_changes() const { return total_changes_; }
-
-  /// Mean lifetime of routes that have appeared and disappeared, seconds.
-  [[nodiscard]] double mean_completed_lifetime_s() const;
-  [[nodiscard]] std::size_t completed_route_count() const {
-    return completed_lifetimes_s_.size();
-  }
-  /// Lifetimes of removed routes, seconds: per cycle in prefix order.
-  [[nodiscard]] const std::vector<double>& completed_lifetimes_s() const {
-    return completed_lifetimes_s_;
-  }
+  [[nodiscard]] const std::vector<RouteCycleStats>& history() const { return history_; }
 
  private:
-  std::vector<CycleStats> history_;
-  RouteTable own_previous_;  ///< the adapter's copy; empty unless it ran
-  /// First-seen time of each route in the last observed table,
-  /// index-aligned with it.
-  std::vector<sim::TimePoint> first_seen_;
-  std::vector<sim::TimePoint> next_first_seen_;  ///< reused merge output
-  std::vector<double> completed_lifetimes_s_;
-  std::uint64_t total_changes_ = 0;
+  std::vector<RouteCycleStats> history_;
+  RouteTable previous_;
 };
 
 /// Inter-router route-table consistency (the paper: "ideally every DVMRP
@@ -285,15 +266,16 @@ class SpikeDetector {
 };
 
 /// What derive_cycle carries from one cycle of a router to the next: the
-/// route monitor and the spike detector, the sender threshold, and storage
-/// for the cycle's derived tables.
+/// last cycle's route statistics and the spike detector, the sender
+/// threshold, and storage for the cycle's derived tables.
 struct CycleCarry {
   CycleCarry() = default;
   CycleCarry(double threshold_kbps, std::size_t spike_window, double spike_k)
       : sender_threshold_kbps(threshold_kbps), spike_detector(spike_window, spike_k) {}
 
   double sender_threshold_kbps = kSenderThresholdKbps;
-  RouteMonitor route_monitor;
+  /// The route statistics of the cycle derived last; empty before the first.
+  std::optional<RouteCycleStats> last_routes;
   SpikeDetector spike_detector;
   /// The last derived cycle's participant and session tables, rebuilt in
   /// place (capacity kept) by every derive_cycle call.
@@ -303,16 +285,17 @@ struct CycleCarry {
 
 /// The processing half of one monitoring cycle, written once: derives the
 /// participant and session tables from `snapshot.pairs` into `carry` (the
-/// snapshot's own derived tables are not read), feeds the route monitor and
-/// the spike detector, and returns the cycle's result with the collection
-/// facts of `meta`. The live cycle and the archive writer are its callers;
-/// the archive stores the answer, so no offline reader derives it again.
+/// snapshot's own derived tables are not read), counts the routes with
+/// route_cycle_stats, feeds the spike detector, and returns the cycle's
+/// result with the collection facts of `meta`. The live cycle and the
+/// archive writer are its callers; the archive stores the answer, so no
+/// offline reader derives it again.
 ///
 /// `previous` is the snapshot this carry derived last (any snapshot with
-/// no routes before the first): the route monitor diffs against its route
-/// table and keeps no copy. The monitor's last CycleStats names that table
-/// by time and row count; a `previous` that disagrees throws
-/// std::logic_error, and nothing is recorded.
+/// no routes before the first), whose route table the walk diffs against;
+/// the carry keeps no copy. The carry's last route statistics name that
+/// table by time and row count; a `previous` that disagrees throws
+/// std::logic_error before the carry is touched.
 [[nodiscard]] CycleResult derive_cycle(const Snapshot& snapshot, const Snapshot& previous,
                                        const ArchiveCycleMeta& meta, CycleCarry& carry);
 

@@ -550,10 +550,6 @@ TEST_F(ArchiveReplay, FiveHundredCycleScenarioReplaysByteIdentically) {
   const ArchiveWriter* sink = monitor->target_view("fixw").archive();
   ASSERT_NE(sink, nullptr);
   EXPECT_EQ(sink->cycles_written(), live.size());
-  const RouteMonitor& live_monitor = monitor->target_view("fixw").route_monitor();
-  const std::uint64_t live_total_changes = live_monitor.total_changes();
-  const std::size_t live_completed_routes = live_monitor.completed_route_count();
-  const double live_mean_lifetime = live_monitor.mean_completed_lifetime_s();
   // Destroying the monitor closes (flushes + syncs) the archive sink; the
   // file must then be complete and clean.
   monitor.reset();
@@ -601,19 +597,15 @@ TEST_F(ArchiveReplay, FiveHundredCycleScenarioReplaysByteIdentically) {
     return static_cast<double>(r.route_changes);
   });
 
-  // The route statistics the live monitor accumulated come back too: the
-  // change total from the stored results, the lifetimes from walking the
-  // archived route tables through a RouteMonitor.
-  std::uint64_t replayed_changes = 0;
-  for (const CycleResult& result : replay.results) replayed_changes += result.route_changes;
-  EXPECT_EQ(replayed_changes, live_total_changes);
-  RouteMonitor walked;
-  reader.for_each([&](std::size_t, const Snapshot& tables, const ArchiveCycleMeta&) {
-    walked.observe(tables.captured, tables.routes);
-  });
-  EXPECT_EQ(walked.total_changes(), live_total_changes);
-  EXPECT_EQ(walked.completed_route_count(), live_completed_routes);
-  EXPECT_DOUBLE_EQ(walked.mean_completed_lifetime_s(), live_mean_lifetime);
+  // The run's route-change total comes back from the stored results (the
+  // re-derivation check above recounts every cycle's from its tables).
+  const auto total_changes = [](const std::vector<CycleResult>& results) {
+    std::uint64_t total = 0;
+    for (const CycleResult& result : results) total += result.route_changes;
+    return total;
+  };
+  EXPECT_GT(total_changes(live), 0u);
+  EXPECT_EQ(total_changes(replay.results), total_changes(live));
 }
 
 }  // namespace

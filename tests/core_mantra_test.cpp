@@ -350,10 +350,12 @@ TEST_F(MantraPipeline, RouteMonitorSeesChangesAcrossOutage) {
       monitor_->target_view("ucsb-gw").results().back().dvmrp_valid_routes;
   scenario_.network().set_interface_enabled(scenario_.fixw_node(), 0, true);
   run_hours(1);
-  const RouteMonitor& monitor = monitor_->target_view("ucsb-gw").route_monitor();
-  EXPECT_EQ(monitor.history().size(), 12u);
-  EXPECT_GT(monitor.total_changes(), 0u);
-  EXPECT_LT(during, monitor_->target_view("ucsb-gw").results().back().dvmrp_valid_routes);
+  const std::vector<CycleResult>& results = monitor_->target_view("ucsb-gw").results();
+  EXPECT_EQ(results.size(), 12u);
+  std::size_t changes = 0;
+  for (const CycleResult& result : results) changes += result.route_changes;
+  EXPECT_GT(changes, 0u);
+  EXPECT_LT(during, results.back().dvmrp_valid_routes);
 }
 
 TEST_F(MantraPipeline, UnknownTargetThrows) {
@@ -409,8 +411,11 @@ TEST_F(MantraPipeline, TargetViewConsolidatesAccessors) {
   const Mantra::TargetView view = monitor_->target_view("fixw");
   EXPECT_EQ(view.name(), "fixw");
   EXPECT_EQ(&view.results(), &monitor_->target_view("fixw").results());
-  EXPECT_EQ(&view.route_monitor(), &monitor_->target_view("fixw").route_monitor());
   EXPECT_EQ(&view.latest_snapshot(), &monitor_->target_view("fixw").latest_snapshot());
+  // The route statistics are the results' own: the last names `latest`.
+  ASSERT_FALSE(view.results().empty());
+  EXPECT_EQ(view.results().back().t, view.latest_snapshot().captured);
+  EXPECT_EQ(view.results().back().dvmrp_routes, view.latest_snapshot().routes.size());
   EXPECT_EQ(view.health(), TargetHealth::Healthy);
   EXPECT_EQ(view.consecutive_failures(), 0u);
   EXPECT_THROW(monitor_->target_view("nonesuch"), std::out_of_range);

@@ -116,7 +116,7 @@ TEST(DensityDistribution, EmptyTable) {
   EXPECT_EQ(dist.sessions, 0u);
 }
 
-TEST(RouteMonitor, TracksCountsChangesAndLifetimes) {
+TEST(RouteMonitor, TracksCountsAndChanges) {
   RouteMonitor monitor;
   RouteTable t0;
   t0.upsert(route(1));
@@ -128,16 +128,15 @@ TEST(RouteMonitor, TracksCountsChangesAndLifetimes) {
   monitor.observe(sim::TimePoint::start() + sim::Duration::minutes(15), t1);
 
   RouteTable t2 = t1;
-  t2.erase(route(2).key());  // route 2 lived 30 minutes
+  t2.erase(route(2).key());
   monitor.observe(sim::TimePoint::start() + sim::Duration::minutes(30), t2);
 
   ASSERT_EQ(monitor.history().size(), 3u);
   EXPECT_EQ(monitor.history()[0].total, 2u);
+  EXPECT_EQ(monitor.history()[0].changes, 0u);  // the first cycle counts none
   EXPECT_EQ(monitor.history()[1].changes, 1u);
   EXPECT_EQ(monitor.history()[2].changes, 1u);
-  EXPECT_EQ(monitor.total_changes(), 2u);
-  EXPECT_EQ(monitor.completed_route_count(), 1u);
-  EXPECT_DOUBLE_EQ(monitor.mean_completed_lifetime_s(), 1800.0);
+  EXPECT_EQ(monitor.history()[2].t, sim::TimePoint::start() + sim::Duration::minutes(30));
 }
 
 TEST(RouteMonitor, ValidCountExcludesHolddown) {
@@ -150,44 +149,32 @@ TEST(RouteMonitor, ValidCountExcludesHolddown) {
   EXPECT_EQ(monitor.history()[0].valid, 1u);
 }
 
-/// RouteMonitor::observe as it was before the merge walk: a per-prefix
-/// first-seen map and a RouteTable::diff. The equivalence test below holds
-/// the production monitor to it.
+/// The route statistics as they were counted before the merge walk: a
+/// RouteTable::diff against a copy of the last table. The equivalence test
+/// below holds the walk and the adapter to it.
 class MapRouteMonitor {
  public:
   void observe(sim::TimePoint t, const RouteTable& routes) {
-    RouteMonitor::CycleStats stats;
+    RouteCycleStats stats;
     stats.t = t;
     stats.total = routes.size();
     routes.visit([&](const RouteRow& route) {
       if (!route.holddown) ++stats.valid;
-      if (first_seen_.find(route.prefix) == first_seen_.end()) {
-        first_seen_[route.prefix] = t;
-      }
     });
     if (have_previous_) {
       const RouteTable::Delta delta = RouteTable::diff(previous_, routes);
       stats.changes = delta.change_count();
-      total_changes_ += stats.changes;
-      for (const net::Prefix& removed : delta.removals) {
-        const auto it = first_seen_.find(removed);
-        if (it != first_seen_.end()) {
-          completed_lifetimes_s_.push_back((t - it->second).total_seconds());
-          first_seen_.erase(it);
-        }
-      }
+      removals_ += delta.removals.size();
     }
     history_.push_back(stats);
     previous_ = routes;
     have_previous_ = true;
   }
 
-  std::vector<RouteMonitor::CycleStats> history_;
+  std::vector<RouteCycleStats> history_;
   RouteTable previous_;
   bool have_previous_ = false;
-  std::map<net::Prefix, sim::TimePoint> first_seen_;
-  std::vector<double> completed_lifetimes_s_;
-  std::uint64_t total_changes_ = 0;
+  std::size_t removals_ = 0;
 };
 
 TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
@@ -199,9 +186,8 @@ TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
   for (std::uint32_t i = 0; i < 400; i += 2) live[i] = route(i);
   RouteMonitor monitor;
   MapRouteMonitor reference;
-  // The same walk with the previous table held by the caller, as the live
-  // cycle holds it in its latest snapshot.
-  RouteMonitor by_previous;
+  // The walk with the previous table held by the caller, as derive_cycle
+  // holds it in the live cycle's latest snapshot.
   RouteTable previous;
   RouteTable table;
   for (int step = 0; step < 80; ++step) {
@@ -232,44 +218,25 @@ TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
     const sim::TimePoint t = sim::TimePoint::start() + sim::Duration::minutes(15) * std::int64_t{step};
     monitor.observe(t, table);
     reference.observe(t, table);
-    by_previous.observe(t, previous, table);
+    const RouteCycleStats walked = route_cycle_stats(t, step == 0 ? nullptr : &previous, table);
     previous = table;
 
     ASSERT_EQ(monitor.history().size(), reference.history_.size());
-    const RouteMonitor::CycleStats& got = monitor.history().back();
-    const RouteMonitor::CycleStats& want = reference.history_.back();
-    EXPECT_EQ(got.t, want.t) << "step " << step;
-    EXPECT_EQ(got.total, want.total) << "step " << step;
-    EXPECT_EQ(got.valid, want.valid) << "step " << step;
-    EXPECT_EQ(got.changes, want.changes) << "step " << step;
-    EXPECT_EQ(monitor.total_changes(), reference.total_changes_) << "step " << step;
-    ASSERT_EQ(monitor.completed_lifetimes_s(), reference.completed_lifetimes_s_)
-        << "step " << step;
-    const RouteMonitor::CycleStats& held = by_previous.history().back();
-    EXPECT_EQ(held.total, got.total) << "step " << step;
-    EXPECT_EQ(held.valid, got.valid) << "step " << step;
-    EXPECT_EQ(held.changes, got.changes) << "step " << step;
-    ASSERT_EQ(by_previous.completed_lifetimes_s(), monitor.completed_lifetimes_s())
-        << "step " << step;
+    const RouteCycleStats& want = reference.history_.back();
+    for (const RouteCycleStats* got : {&walked, &monitor.history().back()}) {
+      EXPECT_EQ(got->t, want.t) << "step " << step;
+      EXPECT_EQ(got->total, want.total) << "step " << step;
+      EXPECT_EQ(got->valid, want.valid) << "step " << step;
+      EXPECT_EQ(got->changes, want.changes) << "step " << step;
+    }
   }
-  EXPECT_GT(monitor.completed_route_count(), 200u);
+  EXPECT_GT(reference.removals_, 200u);
   EXPECT_EQ(monitor.history()[40].total, 0u);
-}
-
-TEST(RouteMonitor, APreviousTableOfAnotherSizeThrowsAndRecordsNothing) {
-  RouteMonitor monitor;
-  RouteTable table;
-  table.upsert(route(1));
-  EXPECT_THROW(monitor.observe(sim::TimePoint::start(), table, table), std::logic_error);
-  EXPECT_TRUE(monitor.history().empty());
-  monitor.observe(sim::TimePoint::start(), RouteTable{}, table);
-  EXPECT_THROW(monitor.observe(sim::TimePoint::start(), RouteTable{}, table), std::logic_error);
-  EXPECT_EQ(monitor.history().size(), 1u);
 }
 
 TEST(DeriveCycle, APreviousSnapshotOtherThanTheLastDerivedThrowsAndRecordsNothing) {
   // derive_cycle diffs routes against the caller's `previous` and checks it
-  // against the route monitor's last CycleStats (time and row count).
+  // against the carry's last route statistics (time and row count).
   std::vector<Snapshot> cycles(3);
   for (std::size_t i = 0; i < cycles.size(); ++i) {
     cycles[i].captured =
@@ -279,22 +246,30 @@ TEST(DeriveCycle, APreviousSnapshotOtherThanTheLastDerivedThrowsAndRecordsNothin
   CycleCarry carry;
   // Before the first cycle, only a snapshot without routes is the previous.
   EXPECT_THROW((void)derive_cycle(cycles[0], cycles[1], {}, carry), std::logic_error);
-  EXPECT_TRUE(carry.route_monitor.history().empty());
+  EXPECT_FALSE(carry.last_routes.has_value());
+  EXPECT_EQ(carry.spike_detector.samples_seen(), 0u);
   (void)derive_cycle(cycles[0], Snapshot{}, {}, carry);
   (void)derive_cycle(cycles[1], cycles[0], {}, carry);
 
-  // One cycle too old, the right time with a row too many, and the
-  // snapshot being derived itself.
+  // One cycle too old, the right time with a row too many or too few, and
+  // the snapshot being derived itself.
   Snapshot padded = cycles[1];
   padded.routes.upsert(route(99));
-  for (const Snapshot* wrong : {&cycles[0], &padded, &cycles[2]}) {
+  Snapshot trimmed = cycles[1];
+  trimmed.routes.erase(route(0).key());
+  for (const Snapshot* wrong : {&cycles[0], &padded, &trimmed, &cycles[2]}) {
     EXPECT_THROW((void)derive_cycle(cycles[2], *wrong, {}, carry), std::logic_error);
-    EXPECT_EQ(carry.route_monitor.history().size(), 2u);
+    ASSERT_TRUE(carry.last_routes.has_value());
+    EXPECT_EQ(carry.last_routes->t, cycles[1].captured);
+    EXPECT_EQ(carry.last_routes->total, 5u);
     EXPECT_EQ(carry.spike_detector.samples_seen(), 2u);
   }
   const CycleResult result = derive_cycle(cycles[2], cycles[1], {}, carry);
   EXPECT_EQ(result.dvmrp_routes, 6u);
   EXPECT_EQ(result.route_changes, 1u);
+  EXPECT_EQ(carry.last_routes->t, cycles[2].captured);
+  EXPECT_EQ(carry.last_routes->total, 6u);
+  EXPECT_EQ(carry.last_routes->changes, 1u);
 }
 
 TEST(CompareRouteTables, ConsistencyStats) {

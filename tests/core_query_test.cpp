@@ -181,6 +181,7 @@ TEST(RollupSidecar, StaleFingerprintIsRejectedByEngine) {
   EXPECT_FALSE(result.from_rollup);
   EXPECT_FALSE(result.points.empty());
   EXPECT_EQ(result.records_decoded, 0u);  // an index walk
+  EXPECT_EQ(engine.reader("fixw")->records_decoded(), 0u);
 }
 
 // --- Rollup / raw equivalence ----------------------------------------------
