@@ -124,7 +124,7 @@ CycleResult derive_cycle(const Snapshot& snapshot, const Snapshot& previous,
                          const ArchiveCycleMeta& meta, CycleCarry& carry) {
   // The last cycle's route statistics name the snapshot this carry derived
   // last by its time and route count; before the first, it has no routes.
-  const std::optional<RouteCycleStats>& last = carry.last_routes;
+  const std::optional<RouteCycleStats>& last = carry.last_route_stats;
   const bool derived_last =
       last ? previous.captured == last->t && previous.routes.size() == last->total
            : previous.routes.empty();
@@ -134,7 +134,7 @@ CycleResult derive_cycle(const Snapshot& snapshot, const Snapshot& previous,
   }
   const RouteCycleStats routes =
       route_cycle_stats(snapshot.captured, last ? &previous.routes : nullptr, snapshot.routes);
-  carry.last_routes = routes;
+  carry.last_route_stats = routes;
   derive_participants_into(snapshot.pairs, carry.sender_threshold_kbps, carry.participants);
   derive_sessions_into(snapshot.pairs, carry.sender_threshold_kbps, carry.sessions);
 

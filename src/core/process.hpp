@@ -275,7 +275,7 @@ struct CycleCarry {
 
   double sender_threshold_kbps = kSenderThresholdKbps;
   /// The route statistics of the cycle derived last; empty before the first.
-  std::optional<RouteCycleStats> last_routes;
+  std::optional<RouteCycleStats> last_route_stats;
   SpikeDetector spike_detector;
   /// The last derived cycle's participant and session tables, rebuilt in
   /// place (capacity kept) by every derive_cycle call.

@@ -246,7 +246,7 @@ TEST(DeriveCycle, APreviousSnapshotOtherThanTheLastDerivedThrowsAndRecordsNothin
   CycleCarry carry;
   // Before the first cycle, only a snapshot without routes is the previous.
   EXPECT_THROW((void)derive_cycle(cycles[0], cycles[1], {}, carry), std::logic_error);
-  EXPECT_FALSE(carry.last_routes.has_value());
+  EXPECT_FALSE(carry.last_route_stats.has_value());
   EXPECT_EQ(carry.spike_detector.samples_seen(), 0u);
   (void)derive_cycle(cycles[0], Snapshot{}, {}, carry);
   (void)derive_cycle(cycles[1], cycles[0], {}, carry);
@@ -259,17 +259,17 @@ TEST(DeriveCycle, APreviousSnapshotOtherThanTheLastDerivedThrowsAndRecordsNothin
   trimmed.routes.erase(route(0).key());
   for (const Snapshot* wrong : {&cycles[0], &padded, &trimmed, &cycles[2]}) {
     EXPECT_THROW((void)derive_cycle(cycles[2], *wrong, {}, carry), std::logic_error);
-    ASSERT_TRUE(carry.last_routes.has_value());
-    EXPECT_EQ(carry.last_routes->t, cycles[1].captured);
-    EXPECT_EQ(carry.last_routes->total, 5u);
+    ASSERT_TRUE(carry.last_route_stats.has_value());
+    EXPECT_EQ(carry.last_route_stats->t, cycles[1].captured);
+    EXPECT_EQ(carry.last_route_stats->total, 5u);
     EXPECT_EQ(carry.spike_detector.samples_seen(), 2u);
   }
   const CycleResult result = derive_cycle(cycles[2], cycles[1], {}, carry);
   EXPECT_EQ(result.dvmrp_routes, 6u);
   EXPECT_EQ(result.route_changes, 1u);
-  EXPECT_EQ(carry.last_routes->t, cycles[2].captured);
-  EXPECT_EQ(carry.last_routes->total, 6u);
-  EXPECT_EQ(carry.last_routes->changes, 1u);
+  EXPECT_EQ(carry.last_route_stats->t, cycles[2].captured);
+  EXPECT_EQ(carry.last_route_stats->total, 6u);
+  EXPECT_EQ(carry.last_route_stats->changes, 1u);
 }
 
 TEST(CompareRouteTables, ConsistencyStats) {
