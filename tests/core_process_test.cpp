@@ -234,6 +234,25 @@ TEST(RouteMonitor, MergeWalkMatchesMapMonitor) {
   EXPECT_EQ(monitor.history()[40].total, 0u);
 }
 
+TEST(RouteMonitor, APreviousTableOfAnotherSizeThrowsAndRecordsNothing) {
+  // The route count's guard sits in derive_cycle: routes before the first
+  // cycle, or a previous table whose size is not the last cycle's count,
+  // throw before the carry records anything.
+  Snapshot snapshot;
+  snapshot.captured = sim::TimePoint::start();
+  snapshot.routes.upsert(route(1));
+  CycleCarry carry;
+  EXPECT_THROW((void)derive_cycle(snapshot, snapshot, {}, carry), std::logic_error);
+  EXPECT_FALSE(carry.last_route_stats.has_value());
+  (void)derive_cycle(snapshot, Snapshot{}, {}, carry);
+  Snapshot emptied;
+  emptied.captured = snapshot.captured;  // the last cycle's time, no routes
+  EXPECT_THROW((void)derive_cycle(snapshot, emptied, {}, carry), std::logic_error);
+  ASSERT_TRUE(carry.last_route_stats.has_value());
+  EXPECT_EQ(carry.last_route_stats->total, 1u);
+  EXPECT_EQ(carry.spike_detector.samples_seen(), 1u);
+}
+
 TEST(DeriveCycle, APreviousSnapshotOtherThanTheLastDerivedThrowsAndRecordsNothing) {
   // derive_cycle diffs routes against the caller's `previous` and checks it
   // against the carry's last route statistics (time and row count).
